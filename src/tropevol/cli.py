@@ -165,7 +165,7 @@ def _cmd_ehrhart(args) -> int:
     kmax = cfg.kmax if cfg.kmax is not None else cfg.matrix.rows
     obj = ehrhart_report(cfg.matrix, cfg.b, kmax, cfg.guard)
     _emit(_render(obj, cfg.fmt, "counting reports"), cfg.out)
-    return 0
+    return 0 if obj["agree"] else 4
 
 
 def _cmd_check(args) -> int:

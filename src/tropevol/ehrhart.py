@@ -19,7 +19,12 @@ its t-th dilate to
 
 with one weight g_l = b**(min of the base point over the l-th increment
 block) per chain step; open-cell counts use the strict variant.  Both are
-enumerated by a guarded recursion whose cost is proportional to the count.
+counted by a level-by-level prefix-sum DP whose cost and memory are the sum
+of the largest reachable value per level, about (g_1 + ... + g_m) * t, not
+the count itself.  Since count(c*g, t) = count(g, c*t), a cell whose
+smallest weight is b**s has the Ehrhart polynomial of its translate by -s
+(smallest weight 1) with coefficient i multiplied by b**(s*i); the formula
+sum also counts each distinct weight tuple once.
 """
 
 from __future__ import annotations
@@ -40,16 +45,6 @@ from .core import TropMatrix, contains
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
 from .ratpoly import lagrange_interpolate, poly_degree, poly_eval
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """The base of the b-power lattice: coordinates are logs of 0, 1, 2, ..."""
-
-    b: int
-
-    def __post_init__(self):
-        _check_base(self.b)
 
 
 @dataclass(frozen=True)
@@ -261,40 +256,45 @@ def cell_rvol(cell: AlcovedSimplex, b: int) -> Fraction:
     return Fraction(prod, factorial(cell.dim))
 
 
-def _chain_count(gs: Sequence[int], t: int, strict: bool, budget, guard: int) -> int:
+def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
     """Count weighted chains below dilation t; strict toggles < versus <=.
 
     strict=False:  0 <= n_m/g_m <= ... <= n_1/g_1 <= t
     strict=True:   0 <  n_m/g_m <  ... <  n_1/g_1 <  t
-    Recursion visits one node per counted prefix, so cost tracks the answer;
-    the shared budget raises GuardExceeded past the configured limit.
+    Level l takes the values 0..top_l with top_0 = t, g_0 = 1 and
+    top_l = (g_l * top_{l-1}) // g_{l-1}, or (g_l * top_{l-1} - 1) // g_{l-1}
+    when strict.  From the innermost level outwards, the number of
+    completions below each value of level l is a prefix sum over level l + 1,
+    so cost and memory are the sum of top_l + 1 over the tabulated levels
+    l < m; that sum is checked against the guard before any work.
     """
     m = len(gs)
     if m == 0:
         return 1
-    if t == 0:
-        return 0 if strict else 1
-
-    def rec(level: int, num: int, den: int) -> int:
-        g = gs[level]
-        if strict:
-            top = (g * num - 1) // den
-            lo = 1
-        else:
-            top = (g * num) // den
-            lo = 0
-        if top < lo:
+    s = int(strict)
+    tops = []
+    num, den = t, 1
+    for g in gs:
+        num, den = (g * num - s) // den, g
+        if num < s:
             return 0
-        if level == m - 1:
-            return top - lo + 1
-        budget[0] += top - lo + 1
-        check_guard(budget[0], guard, "weighted chain enumeration")
-        total = 0
-        for nv in range(lo, top + 1):
-            total += rec(level + 1, nv, g)
-        return total
-
-    return rec(0, t, 1)
+        tops.append(num)
+    # the innermost level is never tabulated: it has max(0, x + 1 - s)
+    # members up to x, and its caller asks for one such value per entry
+    check_guard(sum(tops[:-1]) + m - 1, guard, "weighted chain counting")
+    g_in = gs[-1]
+    below = None  # below[x + 1] = completions of the inner levels up to x
+    for level in range(m - 2, -1, -1):
+        g = gs[level]
+        if below is None:
+            cur = [max(0, (g_in * n - s) // g + 1 - s) for n in range(tops[level] + 1)]
+        else:
+            cur = [below[(g_in * n - s) // g + 1] for n in range(tops[level] + 1)]
+        below = [0, *itertools.accumulate(cur)]
+        g_in = g
+    if below is None:
+        return tops[0] + 1 - s
+    return below[-1]
 
 
 def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = None) -> int:
@@ -302,7 +302,7 @@ def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = No
     _check_base(b)
     guard = resolve_guard(guard)
     t = (b - 1) * b ** k
-    return _chain_count(cell_weights(cell, b), t, True, [0], guard)
+    return _chain_count(cell_weights(cell, b), t, True, guard)
 
 
 def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = None) -> int:
@@ -313,7 +313,7 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
         raise ValidationError("dilation must be nonnegative")
     if t == 0:
         return 1
-    return _chain_count(cell_weights(cell, b), t, False, [0], guard)
+    return _chain_count(cell_weights(cell, b), t, False, guard)
 
 
 def _as_complex(arg, guard) -> CellComplex:
@@ -327,7 +327,6 @@ def _as_complex(arg, guard) -> CellComplex:
 def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     """Independent tropical count: sum of open-cell counts over the triangulation."""
     guard = resolve_guard(guard)
-    t = enumerate_triangulation  # noqa: F841  (keeps import alive for readers)
     complex_ = _as_complex(arg, guard)
     return sum(open_cell_count(c, b, k, guard) for c in complex_.cells)
 
@@ -335,32 +334,56 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
 def classical_ehrhart_scaled_simplex(
     cell: AlcovedSimplex, b: int, guard: int | None = None
 ) -> ClassicalEhrhartPolynomial:
-    """Ehrhart polynomial of the b-scaled closed cell, by counting m+1 dilates."""
-    _check_base(b)
-    guard = resolve_guard(guard)
-    m = cell.dim
-    pts = [(t, closed_cell_count(cell, b, t, guard)) for t in range(m + 1)]
-    coeffs = lagrange_interpolate(pts)
-    return ClassicalEhrhartPolynomial(coeffs, m)
+    """Ehrhart polynomial of the b-scaled closed cell, by counting m+1 dilates.
 
-
-def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
-    """Assemble c_0..c_d as signed, (b-1)-weighted sums over all cells.
-
-    c_i = sum over cells of dimension m >= i of
-          (-1)**(m-i) * (b-1)**i * (classical coefficient i of the scaled cell).
+    The dilates counted are those of the cell translated by -s, where s is
+    the smallest base coordinate over the increment blocks: its weights are
+    those of the cell divided by b**s, and count(b**s * g, t) = count(g,
+    b**s * t) turns coefficient i of its polynomial into coefficient i of
+    the cell's after multiplication by b**(s*i).
     """
     _check_base(b)
     guard = resolve_guard(guard)
-    complex_ = _as_complex(arg, guard)
-    d = complex_.ambient_dim
+    m = cell.dim
+    s = min((cell.base[r] for block in cell.blocks() for r in block), default=0)
+    shifted = AlcovedSimplex.from_chain(
+        [tuple(x - s for x in v) for v in cell.vertices]
+    )
+    pts = [(t, closed_cell_count(shifted, b, t, guard)) for t in range(m + 1)]
+    coeffs = lagrange_interpolate(pts)
+    scale = b ** s
+    return ClassicalEhrhartPolynomial(
+        tuple(c * scale ** i for i, c in enumerate(coeffs)), m
+    )
+
+
+def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
+    """c_0..c_d as the signed, (b-1)-weighted sum over the given cells.
+
+    c_i = sum over cells of dimension m >= i of
+          (-1)**(m-i) * (b-1)**i * (classical coefficient i of the scaled cell).
+    A cell's polynomial depends only on its weight tuple, so each distinct
+    tuple is counted once per call.
+    """
+    polys = {}
     out = [Fraction(0)] * (d + 1)
-    for cell in complex_.cells:
-        ec = classical_ehrhart_scaled_simplex(cell, b, guard)
+    for cell in cells:
+        key = cell_weights(cell, b)
+        ec = polys.get(key)
+        if ec is None:
+            ec = polys[key] = classical_ehrhart_scaled_simplex(cell, b, guard)
         m = cell.dim
         for i in range(m + 1):
             out[i] += (-1) ** (m - i) * Fraction(b - 1) ** i * ec.coeffs[i]
     return tuple(out)
+
+
+def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
+    """Assemble c_0..c_d as signed, (b-1)-weighted sums over all cells."""
+    _check_base(b)
+    guard = resolve_guard(guard)
+    complex_ = _as_complex(arg, guard)
+    return _formula_sum(complex_.cells, complex_.ambient_dim, b, guard)
 
 
 def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
@@ -442,14 +465,7 @@ def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     _check_base(b)
     guard = resolve_guard(guard)
     complex_ = _as_complex(arg, guard)
-    d = complex_.ambient_dim
-    out = [Fraction(0)] * (d + 1)
-    for cell in complex_.interior_cells():
-        ec = classical_ehrhart_scaled_simplex(cell, b, guard)
-        m = cell.dim
-        for i in range(m + 1):
-            out[i] += (-1) ** (m - i) * Fraction(b - 1) ** i * ec.coeffs[i]
-    return tuple(out)
+    return _formula_sum(complex_.interior_cells(), complex_.ambient_dim, b, guard)
 
 
 def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:
@@ -540,11 +556,16 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
     from .core import format_entry  # local import to keep module edges tidy
 
     guard = resolve_guard(guard)
-    poly = tropical_ehrhart_poly(m, b, guard)
+    counted = {}
+
+    def count_once(m, b, k, guard):
+        if k not in counted:
+            counted[k] = count_tropical(m, b, k, guard)
+        return counted[k]
+
+    poly = tropical_ehrhart_poly(m, b, guard, counter=count_once)
     formula = coeffs_via_formula(m, b, guard)
-    counts = [
-        {"k": k, "value": count_tropical(m, b, k, guard)} for k in range(kmax + 1)
-    ]
+    counts = [{"k": k, "value": count_once(m, b, k, guard)} for k in range(kmax + 1)]
     return {
         "b": b,
         "coeffs": [_format_fraction(c) for c in poly.coeffs],

@@ -2,8 +2,8 @@
 
 Resolution order: explicit argument, then the TROPEVOL_GUARD environment
 variable, then the built-in default.  The guard bounds the number of
-elementary steps (grid cells visited, recursion nodes, ...) and exceeding it
-raises GuardExceeded rather than silently grinding.
+elementary steps (grid cells visited, recursion nodes, DP states, ...) and
+exceeding it raises GuardExceeded rather than silently grinding.
 """
 
 from __future__ import annotations

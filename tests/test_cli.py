@@ -287,6 +287,21 @@ def test_cross_check_failure_maps_to_exit_four(
     assert captured.err.startswith("cross-check mismatch:")
 
 
+def test_ehrhart_disagreement_writes_report_and_exits_four(
+    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    import tropevol.ehrhart as ehrhart
+
+    monkeypatch.setattr(ehrhart, "coeffs_via_formula", lambda m, b, guard=None: (0, 0, 0))
+    target = tmp_path / "report.json"
+    code = cli.main(["ehrhart", "--fixture", "L", "--l", "4", "--out", str(target)])
+    assert code == 4
+    report = json.loads(target.read_text(encoding="utf-8"))
+    assert report["agree"] is False
+    assert report["coeffs"] == ["1", "15/2", "1/2"]
+    assert report["formula_coeffs"] == ["0", "0", "0"]
+
+
 def test_main_in_process_matches_subprocess(capsys: pytest.CaptureFixture) -> None:
     code = cli.main(["ehrhart", "--fixture", "alcove", "--a", "1,2", "--b", "2"])
     captured = capsys.readouterr()

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropevol import ehrhart
 from tropevol.cells import AlcovedSimplex, enumerate_triangulation
 from tropevol.core import TropMatrix
 from tropevol.ehrhart import (
+    _chain_count,
     c_dminus1_direct,
     c_top_leading,
     cell_rvol,
+    cell_weights,
     classical_ehrhart_scaled_simplex,
+    closed_cell_count,
     coefficient_in_b,
     coeffs_via_formula,
     count_classical_dilate,
@@ -21,6 +26,7 @@ from tropevol.ehrhart import (
     count_tropical,
     count_via_cells,
     ehrhart_report,
+    interior_coeffs_via_formula,
     log_coefficient,
     log_degree_bound,
     log_map,
@@ -28,7 +34,17 @@ from tropevol.ehrhart import (
     tropical_ehrhart_poly,
 )
 from tropevol.errors import GuardExceeded, ValidationError
-from tropevol.fixtures import alcove_simplex, cube, fix_l, fix_tri
+from tropevol.fixtures import (
+    alcove_simplex,
+    cube,
+    fix_4d,
+    fix_delta2,
+    fix_l,
+    fix_prod,
+    fix_tri,
+)
+from tropevol.ratpoly import lagrange_interpolate
+from tropevol.volumes import cartesian_product
 
 
 # Frozen count tables for the triangle-with-tail shape, length parameter 4.
@@ -207,6 +223,136 @@ def test_ehrhart_report_shape():
     assert rep["agree"] is True
     assert rep["coeffs"] == ["1", "15/2", "1/2"]
     assert [c["value"] for c in rep["counts"]] == [9, 18, 39, 93]
+
+
+def test_ehrhart_report_counts_each_k_once(monkeypatch):
+    calls = []
+
+    def counting(m, b, k, guard=None):
+        calls.append(k)
+        return count_tropical(m, b, k, guard)
+
+    monkeypatch.setattr(ehrhart, "count_tropical", counting)
+    rep = ehrhart_report(fix_l(4), 2, 5)
+    assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+    assert [c["value"] for c in rep["counts"]][:4] == L4_COUNTS[2]
+
+
+def _chain_count_brute(gs, t, strict):
+    """Oracle: the recursion that visits one node per counted chain prefix.
+
+    Counts integers n_1..n_m with 0 <= n_m/g_m <= ... <= n_1/g_1 <= t, or
+    with every inequality strict; its cost is proportional to the count.
+    """
+    m = len(gs)
+    if m == 0:
+        return 1
+    if t == 0:
+        return 0 if strict else 1
+
+    def rec(level, num, den):
+        g = gs[level]
+        if strict:
+            top, lo = (g * num - 1) // den, 1
+        else:
+            top, lo = (g * num) // den, 0
+        if top < lo:
+            return 0
+        if level == m - 1:
+            return top - lo + 1
+        return sum(rec(level + 1, nv, g) for nv in range(lo, top + 1))
+
+    return rec(0, t, 1)
+
+
+def test_chain_count_dp_matches_recursion_oracle():
+    rng = random.Random(20190821)
+    cases = [((), t, strict) for t in (0, 1, 5) for strict in (False, True)]
+    cases += [((2, 4, 1), 0, strict) for strict in (False, True)]
+    while len(cases) < 1200:
+        b = rng.choice((2, 3))
+        m = rng.randint(1, 4)
+        top_exp = 3 if m <= 2 else (2 if m == 3 else 1)
+        exps = [rng.randint(0, top_exp) for _ in range(m)]
+        cases.append((tuple(b**e for e in exps), rng.randint(0, 4), rng.random() < 0.5))
+    rising = sum(1 for gs, _, _ in cases if any(x < y for x, y in zip(gs, gs[1:])))
+    falling = sum(1 for gs, _, _ in cases if any(x > y for x, y in zip(gs, gs[1:])))
+    assert rising > 200 and falling > 200
+    for gs, t, strict in cases:
+        assert _chain_count(gs, t, strict, 10**7) == _chain_count_brute(gs, t, strict), (gs, t, strict)
+
+
+def _random_cell(rng, d, offset):
+    """A random alcoved cell in R^d whose base point is offset + small noise."""
+    order = list(range(d))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, d + 1), rng.randint(1, d)))
+    base = tuple(offset + rng.randint(0, 2) for _ in range(d))
+    verts = [base]
+    start = 0
+    for cut in cuts:
+        v = list(verts[-1])
+        for r in order[start:cut]:
+            v[r] += 1
+        verts.append(tuple(v))
+        start = cut
+    return AlcovedSimplex.from_chain(verts)
+
+
+def test_scaled_simplex_matches_unshifted_interpolation():
+    rng = random.Random(1908)
+    for offset in range(7):
+        for _ in range(12):
+            cell = _random_cell(rng, rng.randint(1, 4), offset)
+            for b in (2, 3):
+                pts = [(t, closed_cell_count(cell, b, t)) for t in range(cell.dim + 1)]
+                want = lagrange_interpolate(pts)
+                assert classical_ehrhart_scaled_simplex(cell, b).coeffs == want, (cell, b)
+
+
+def _plain_formula_sum(cells, d, b):
+    """Per-cell sum with each cell counted unshifted and without reuse."""
+    out = [Fraction(0)] * (d + 1)
+    for cell in cells:
+        m = cell.dim
+        coeffs = lagrange_interpolate(
+            [(t, closed_cell_count(cell, b, t)) for t in range(m + 1)]
+        )
+        for i in range(m + 1):
+            out[i] += (-1) ** (m - i) * Fraction(b - 1) ** i * coeffs[i]
+    return tuple(out)
+
+
+def test_memoized_formula_matches_plain_cell_sum_on_fixtures():
+    fixtures = [
+        fix_l(4), fix_l(6), fix_tri(3, 0), fix_tri(3, 2), fix_4d(),
+        fix_delta2().translate(1), cartesian_product(*fix_prod(3)),
+        alcove_simplex((1, 2)), alcove_simplex((0, 2, 1)),
+    ]
+    for m in fixtures:
+        cx = enumerate_triangulation(m)
+        d = cx.ambient_dim
+        for b in (2, 3):
+            assert coeffs_via_formula(cx, b) == _plain_formula_sum(cx.cells, d, b)
+            if cx.is_pure() and cx.dim == d:
+                assert interior_coeffs_via_formula(cx, b) == _plain_formula_sum(
+                    cx.interior_cells(), d, b
+                )
+
+
+def test_chain_guard_names_stage_on_every_call():
+    cell = AlcovedSimplex.from_chain([(0, 3), (1, 3), (1, 4)])
+    assert cell_weights(cell, 2) == (1, 8)
+    with pytest.raises(GuardExceeded, match="weighted chain counting") as first:
+        closed_cell_count(cell, 2, 2, guard=2)
+    assert first.value.required == 3
+    cx = enumerate_triangulation(fix_tri(3, 0).translate(3))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(GuardExceeded, match="weighted chain counting") as exc:
+            coeffs_via_formula(cx, 2, guard=2)
+        errors.append((str(exc.value), exc.value.required))
+    assert errors[0] == errors[1]
 
 
 @st.composite
