@@ -226,6 +226,16 @@ class CellComplex:
                     counts[key] += 1
         return counts
 
+    @cached_property
+    def _facet_boundary_closure(self) -> frozenset:
+        """Vertex sets of all faces of the facets covered by exactly one top cell."""
+        closure = set()
+        for c in self.cells_of_dim(self.dim - 1):
+            if self.facet_cover_count.get(frozenset(c.vertices), 0) == 1:
+                for f in c.faces():
+                    closure.add(frozenset(f.vertices))
+        return frozenset(closure)
+
     def is_pure(self) -> bool:
         """Every cell is a face of a top-dimensional cell."""
         top = self.dim
@@ -266,11 +276,7 @@ class CellComplex:
             frozenset(c.vertices) for c in self.cells
             if frozenset(c.vertices) not in covered_by_higher
         }
-        boundary_closure = set()
-        for c in self.cells_of_dim(top - 1):
-            if self.facet_cover_count.get(frozenset(c.vertices), 0) == 1:
-                for f in c.faces():
-                    boundary_closure.add(frozenset(f.vertices))
+        boundary_closure = set(self._facet_boundary_closure)
         for c in self.cells:
             key = frozenset(c.vertices)
             if c.dim < top and key in maximal:
@@ -293,13 +299,8 @@ class CellComplex:
         Only meaningful for pure complexes, where the boundary is the union of
         facets covered exactly once.
         """
-        top = self.dim
-        boundary_closure = set()
-        for c in self.cells_of_dim(top - 1):
-            if self.facet_cover_count.get(frozenset(c.vertices), 0) == 1:
-                for f in c.faces():
-                    boundary_closure.add(frozenset(f.vertices))
-        return [c for c in self.cells if frozenset(c.vertices) not in boundary_closure]
+        closure = self._facet_boundary_closure
+        return [c for c in self.cells if frozenset(c.vertices) not in closure]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** c.dim for c in self.cells)
@@ -356,6 +357,15 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     for p in sorted(pts):
         extend([p], 0)
     return CellComplex(d, _sorted_cells(cells))
+
+
+def as_complex(arg, guard: int | None = None) -> CellComplex:
+    """The argument itself if it is a cell complex, else the matrix's triangulation."""
+    if isinstance(arg, CellComplex):
+        return arg
+    if isinstance(arg, TropMatrix):
+        return enumerate_triangulation(arg, guard)
+    raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
 
 
 def enumerate_triangulation_brute(m: TropMatrix, guard: int | None = None) -> CellComplex:

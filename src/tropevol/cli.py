@@ -13,12 +13,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cells import enumerate_triangulation
-from .core import MINUS_INF, TropMatrix
-from .ehrhart import ehrhart_report
+from .core import TropMatrix
+from .ehrhart import ehrhart_report, maxtimes_membership
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .fixtures import (
     alcove_simplex,
@@ -217,50 +216,6 @@ def _svg_xy(x: float, y: float, ymax: float) -> tuple:
     return px, py
 
 
-def _maxtimes_member(m: TropMatrix, b: int, n: tuple) -> bool:
-    """Exact membership of (log_b n_1, ..., log_b n_d) in the hull of m.
-
-    Works in the b-power domain where every comparison is between rationals:
-    the residuated coefficient for column j is min_i n_i / b^(m_ij), and the
-    point belongs to the hull iff recomposing with the coefficients capped at
-    1 reproduces n, with either some coefficient at least 1 or an all minus
-    infinity column absorbing the cap.
-    """
-    lam = []
-    has_empty = False
-    for j in range(m.cols):
-        best = None
-        finite = False
-        for i in range(m.rows):
-            e = m.entries[i][j]
-            if e is MINUS_INF:
-                continue
-            finite = True
-            q = Fraction(n[i]) / Fraction(b) ** e
-            if best is None or q < best:
-                best = q
-        if not finite:
-            has_empty = True
-            lam.append(None)
-        else:
-            lam.append(best)
-    finite_lams = [q for q in lam if q is not None]
-    if not any(q >= 1 for q in finite_lams) and not has_empty:
-        return False
-    for i in range(m.rows):
-        acc = Fraction(0)
-        for j in range(m.cols):
-            if lam[j] is None:
-                continue
-            e = m.entries[i][j]
-            if e is MINUS_INF:
-                continue
-            acc = max(acc, min(lam[j], Fraction(1)) * Fraction(b) ** e)
-        if acc != Fraction(n[i]):
-            return False
-    return True
-
-
 def _cmd_plot(args) -> int:
     cfg = _make_config(args)
     m = cfg.matrix
@@ -329,11 +284,14 @@ def _cmd_plot(args) -> int:
         top2 = cfg.b ** max(m.entries[1])
         if top1 * top2 <= cfg.guard:
             logb = math.log(cfg.b)
+            member = maxtimes_membership(
+                [[cfg.b ** e for e in row] for row in m.entries], max(top1, top2)
+            )
             for n1 in range(1, top1 + 1):
                 for n2 in range(1, top2 + 1):
                     x = math.log(n1) / logb
                     y = math.log(n2) / logb
-                    inside = _maxtimes_member(m, cfg.b, (n1, n2))
+                    inside = member((n1, n2))
                     px, py = place(x, y)
                     if inside:
                         parts.append(

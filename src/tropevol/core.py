@@ -19,7 +19,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -370,7 +369,7 @@ def exp_point(x: Sequence, b: int) -> tuple:
     Only integer coordinates are accepted; the image then consists of exact
     rationals (negative exponents give fractions 1/b**k).
     """
-    _check_base(b)
+    check_base(b)
     x = as_point(x)
     out = []
     for c in x:
@@ -385,7 +384,7 @@ def exp_point(x: Sequence, b: int) -> tuple:
 
 def log_point(y: Sequence, b: int) -> tuple:
     """Coordinatewise base-b logarithm on exact powers of b; 0 -> -inf."""
-    _check_base(b)
+    check_base(b)
     out = []
     for c in y:
         out.append(_log_scalar(as_entry(c), b))
@@ -417,7 +416,8 @@ def _int_log(n: int, b: int) -> int:
     return k
 
 
-def _check_base(b) -> None:
+def check_base(b) -> None:
+    """Reject anything but an integer base b >= 2 (bool included)."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 2:
         raise ValidationError(f"base must be an integer >= 2, got {b!r}")
 
@@ -519,7 +519,3 @@ def act(s: ScaledPermutationMatrix, m: TropMatrix) -> TropMatrix:
     )
     return TropMatrix(rows, m.allow_minus_inf_columns)
 
-
-def all_subsets(n: int, k: int) -> Iterator[tuple]:
-    """Sorted k-subsets of range(n); tiny wrapper kept for readability."""
-    return combinations(range(n), k)

@@ -35,13 +35,10 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency, but stay graceful
-    _np = None
+import numpy as _np
 
-from .cells import AlcovedSimplex, CellComplex, enumerate_triangulation
-from .core import TropMatrix, contains
+from .cells import AlcovedSimplex, as_complex, enumerate_triangulation
+from .core import TropMatrix, check_base, contains, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
 from .ratpoly import lagrange_interpolate, poly_degree, poly_eval
@@ -78,11 +75,6 @@ class ClassicalEhrhartPolynomial:
         return self.coeffs[self.dim]
 
 
-def _check_base(b) -> None:
-    if isinstance(b, bool) or not isinstance(b, int) or b < 2:
-        raise ValidationError(f"base must be an integer >= 2, got {b!r}")
-
-
 def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
     for row in m.entries:
         for e in row:
@@ -108,7 +100,7 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     carried out in exact integer arithmetic.  Vectorized over box chunks when
     the intermediate products fit in int64, otherwise pure big-int Python.
     """
-    _check_base(b)
+    check_base(b)
     if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValidationError(f"dilation factor must be a positive integer, got {t!r}")
     _check_counting_matrix(m, allow_minus_inf=True)
@@ -126,9 +118,9 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     big = t * b ** amax
     empty_col = [all(tb[i][j] == 0 for i in range(d)) for j in range(n)]
     has_empty = any(empty_col)
-    if _np is not None and big * big < 2 ** 62:
+    if big * big < 2 ** 62:
         return _count_maxtimes_np(tb, hi, big, empty_col, has_empty)
-    return _count_maxtimes_py(tb, hi, big, empty_col, has_empty)
+    return _count_maxtimes_py(tb, hi, big)
 
 
 def _count_maxtimes_np(tb, hi, big, empty_col, has_empty) -> int:
@@ -175,46 +167,39 @@ def _count_maxtimes_np(tb, hi, big, empty_col, has_empty) -> int:
     return total
 
 
-def _count_maxtimes_py(tb, hi, big, empty_col, has_empty) -> int:
-    d = len(hi)
-    n = len(tb[0])
+def maxtimes_membership(
+    tb: Sequence[Sequence[int]], big: int
+) -> Callable[[Sequence[int]], bool]:
+    """Exact test for integer points z of the max-times hull of the columns of tb.
+
+    tb[i][j] is t * b**M_ij (0 for -inf) and every nonzero entry divides big.
+    The residuation coefficient of column j is min_i z_i / tb[i][j]; scaled by
+    big it is an integer.  z is in the hull iff recomposing with coefficients
+    capped at 1 gives z back and some coefficient reached 1, or an all -inf
+    column absorbs the cap.
+    """
+    d, n = len(tb), len(tb[0])
     weights = [
-        [None if tb[i][j] == 0 else big // tb[i][j] for i in range(d)]
-        for j in range(n)
+        [(i, big // tb[i][j]) for i in range(d) if tb[i][j]] for j in range(n)
     ]
-    total = 0
-    for zz in itertools.product(*[range(h + 1) for h in hi]):
-        lam = []
-        for j in range(n):
-            if empty_col[j]:
-                lam.append(big)
-                continue
-            cur = None
-            for i in range(d):
-                w = weights[j][i]
-                if w is None:
-                    continue
-                val = zz[i] * w
-                if cur is None or val < cur:
-                    cur = val
-            lam.append(cur)
+    has_empty = not all(weights)
+
+    def member(z: Sequence[int]) -> bool:
+        lam = [min((z[i] * w for i, w in col), default=big) for col in weights]
         if not has_empty and max(lam) < big:
-            continue
-        good = True
-        for i in range(d):
-            best = 0
-            for j in range(n):
-                if tb[i][j] == 0:
-                    continue
-                val = min(lam[j], big) * tb[i][j]
-                if val > best:
-                    best = val
-            if best != big * zz[i]:
-                good = False
-                break
-        if good:
-            total += 1
-    return total
+            return False
+        return all(
+            max((min(lam[j], big) * e for j, e in enumerate(row) if e), default=0)
+            == big * z[i]
+            for i, row in enumerate(tb)
+        )
+
+    return member
+
+
+def _count_maxtimes_py(tb, hi, big) -> int:
+    member = maxtimes_membership(tb, big)
+    return sum(1 for z in itertools.product(*[range(h + 1) for h in hi]) if member(z))
 
 
 def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> int:
@@ -299,7 +284,7 @@ def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
 
 def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = None) -> int:
     """#((b**(k+1) - b**k) * scaled open cell cap Z^d) by direct enumeration."""
-    _check_base(b)
+    check_base(b)
     guard = resolve_guard(guard)
     t = (b - 1) * b ** k
     return _chain_count(cell_weights(cell, b), t, True, guard)
@@ -307,7 +292,7 @@ def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = No
 
 def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = None) -> int:
     """Lattice points of the t-th classical dilate of the b-scaled closed cell."""
-    _check_base(b)
+    check_base(b)
     guard = resolve_guard(guard)
     if t < 0:
         raise ValidationError("dilation must be nonnegative")
@@ -316,18 +301,10 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
     return _chain_count(cell_weights(cell, b), t, False, guard)
 
 
-def _as_complex(arg, guard) -> CellComplex:
-    if isinstance(arg, CellComplex):
-        return arg
-    if isinstance(arg, TropMatrix):
-        return enumerate_triangulation(arg, guard)
-    raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
-
-
 def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     """Independent tropical count: sum of open-cell counts over the triangulation."""
     guard = resolve_guard(guard)
-    complex_ = _as_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     return sum(open_cell_count(c, b, k, guard) for c in complex_.cells)
 
 
@@ -342,7 +319,7 @@ def classical_ehrhart_scaled_simplex(
     b**s * t) turns coefficient i of its polynomial into coefficient i of
     the cell's after multiplication by b**(s*i).
     """
-    _check_base(b)
+    check_base(b)
     guard = resolve_guard(guard)
     m = cell.dim
     s = min((cell.base[r] for block in cell.blocks() for r in block), default=0)
@@ -380,16 +357,16 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
 
 def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     """Assemble c_0..c_d as signed, (b-1)-weighted sums over all cells."""
-    _check_base(b)
+    check_base(b)
     guard = resolve_guard(guard)
-    complex_ = _as_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     return _formula_sum(complex_.cells, complex_.ambient_dim, b, guard)
 
 
 def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
     """Leading coefficient c_d, closed form: (b-1)^d * sum of full-cell rvols."""
-    _check_base(b)
-    complex_ = _as_complex(arg, resolve_guard(guard))
+    check_base(b)
+    complex_ = as_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
     total = Fraction(0)
     for cell in complex_.cells_of_dim(d):
@@ -404,20 +381,12 @@ def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
     depending on how many full cells cover it: none -> 1 (a tentacle facet),
     one -> 1/2 (boundary), two -> 0 (interior wall).
     """
-    _check_base(b)
-    complex_ = _as_complex(arg, resolve_guard(guard))
+    check_base(b)
+    complex_ = as_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
     total = Fraction(0)
-    cover = {
-        frozenset(c.vertices): 0 for c in complex_.cells_of_dim(d - 1)
-    }
-    for c in complex_.cells_of_dim(d):
-        for f in c.facets():
-            key = frozenset(f.vertices)
-            if key in cover:
-                cover[key] += 1
     for cell in complex_.cells_of_dim(d - 1):
-        cnt = cover[frozenset(cell.vertices)]
+        cnt = complex_.facet_cover_count.get(frozenset(cell.vertices), 0)
         delta = Fraction(2 - cnt, 2)
         if delta:
             total += delta * Fraction(b - 1) ** (d - 1) * cell_rvol(cell, b)
@@ -436,7 +405,7 @@ def tropical_ehrhart_poly(
     and Lagrange interpolation is exact.  The prediction is verified against
     one extra count at k = d+1 when that box fits under the guard.
     """
-    _check_base(b)
+    check_base(b)
     _check_counting_matrix(m, allow_minus_inf=False)
     guard = resolve_guard(guard)
     count = counter or count_tropical
@@ -462,9 +431,9 @@ def tropical_ehrhart_poly(
 
 def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     """The formula sum restricted to cells away from the support boundary."""
-    _check_base(b)
+    check_base(b)
     guard = resolve_guard(guard)
-    complex_ = _as_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     return _formula_sum(complex_.interior_cells(), complex_.ambient_dim, b, guard)
 
 
@@ -478,7 +447,7 @@ def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:
     vertex, so such inputs are rejected rather than reported as False.
     """
     guard = resolve_guard(guard)
-    complex_ = _as_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     if not complex_.is_pure() or complex_.dim != complex_.ambient_dim:
         raise ValidationError(
             "reciprocity needs a pure complex of full dimension"
@@ -527,7 +496,7 @@ def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
     i = 0 is the Euler characteristic, the top two indices have closed forms,
     anything in between falls back to the per-cell interpolation formula.
     """
-    complex_ = _as_complex(arg, resolve_guard(guard))
+    complex_ = as_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
     if not 0 <= i <= d:
         raise ValidationError(f"coefficient index {i} out of range")
@@ -553,8 +522,6 @@ def log_coefficient(m: TropMatrix, i: int, guard: int | None = None) -> Optional
 
 def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -> dict:
     """JSON-ready report: counts, interpolated and formula coefficients."""
-    from .core import format_entry  # local import to keep module edges tidy
-
     guard = resolve_guard(guard)
     counted = {}
 
@@ -568,15 +535,9 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
     counts = [{"k": k, "value": count_once(m, b, k, guard)} for k in range(kmax + 1)]
     return {
         "b": b,
-        "coeffs": [_format_fraction(c) for c in poly.coeffs],
-        "formula_coeffs": [_format_fraction(c) for c in formula],
+        "coeffs": [str(format_entry(c)) for c in poly.coeffs],
+        "formula_coeffs": [str(format_entry(c)) for c in formula],
         "agree": tuple(poly.coeffs) == tuple(formula),
         "counts": counts,
     }
 
-
-def _format_fraction(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"

@@ -78,6 +78,3 @@ def alcove_simplex(a) -> TropMatrix:
         cols.append(tuple(cur))
     return TropMatrix.from_columns(cols)
 
-
-# CLI name -> builder (args are wired up in the CLI layer)
-FIXTURE_NAMES = ("cube", "L", "TRI", "4D", "DELTA2", "PROD", "ALCOVE")

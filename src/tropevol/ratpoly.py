@@ -1,4 +1,4 @@
-"""Tiny exact-polynomial toolbox: evaluation, interpolation, linear solve.
+"""Tiny exact-polynomial toolbox: evaluation and interpolation.
 
 Polynomials are coefficient lists [c_0, c_1, ...] over Fraction.  Everything
 here is a few dozen lines of textbook algebra over Q; it exists because the
@@ -64,20 +64,3 @@ def _poly_mul_linear(coeffs, constant):
         out[k + 1] += c
     return out
 
-
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> tuple:
-    """Solve a small square linear system exactly by Gaussian elimination."""
-    n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))

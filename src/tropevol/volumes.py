@@ -10,23 +10,25 @@ coefficient and is computed here by two independent exact algorithms:
 * triangulation: tlvol is the maximal a_1+...+a_d+d over full-dimensional
   unimodular alcoves of the canonical cell decomposition.
 
-The refined i-volumes optimize the sum of the i largest (upper) or the i
-smallest (lower) coordinates over the i-trunk; the lower version is a
-concave maximization solved per cell by an exact rational LP.
+The refined i-volumes maximize the sum of the i largest (upper) or the i
+smallest (lower) coordinates over the i-trunk, the closure of the cells of
+dimension >= i.  A closed cell is the convex hull of a chain v_0 <= ... <= v_m,
+so each of its points lies below the top vertex v_m; both sums are monotone,
+so both maxima are attained at trunk vertices and are read off them directly.
+A report triangulates its matrix once and reads every functional off that
+one complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional
 
-from .cells import AlcovedSimplex, CellComplex, enumerate_triangulation
-from .core import Entry, TropMatrix, tsum
+from .cells import CellComplex, as_complex
+from .core import Entry, TropMatrix, format_entry, max_subset_sum, min_subset_sum, tsum
 from .ehrhart import c_dminus1_direct, log_degree_bound, log_map
 from .errors import CrossCheckError, ValidationError
-from .guard import resolve_guard
 from .linalg import (
     UNIQUE_GAP,
     assignment_normalize,
@@ -36,7 +38,6 @@ from .linalg import (
     tvol_max_sub,
     tvol_square,
 )
-from .ratlp import lp_max_min_linear
 
 
 def tropical_barycenter(m: TropMatrix) -> tuple:
@@ -104,7 +105,7 @@ def tlvol_subsets(m: TropMatrix):
 
 def tlvol_triangulation(arg, guard: int | None = None):
     """(tlvol, witness base point) over full-dimensional alcoves of the complex."""
-    complex_ = _as_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     d = complex_.ambient_dim
     best = None
     witness = None
@@ -124,22 +125,19 @@ def tlvol(m: TropMatrix, method: str = "subsets", guard: int | None = None) -> E
     if method == "triangulation":
         return tlvol_triangulation(m, guard)[0]
     if method == "both":
-        a = tlvol_subsets(m)[0]
-        b = tlvol_triangulation(m, guard)[0]
-        if a != b:
-            raise CrossCheckError(
-                f"tlvol mismatch: subsets {a!r} vs triangulation {b!r}"
-            )
-        return a
+        return _tlvol_both(m, as_complex(m, guard))[0]
     raise ValidationError(f"unknown method {method!r}")
 
 
-def _as_complex(arg, guard) -> CellComplex:
-    if isinstance(arg, CellComplex):
-        return arg
-    if isinstance(arg, TropMatrix):
-        return enumerate_triangulation(arg, resolve_guard(guard))
-    raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
+def _tlvol_both(m: TropMatrix, complex_: CellComplex):
+    """(tlvol, subsets witness), cross-checked against the triangulation of m."""
+    a, witness = tlvol_subsets(m)
+    b = tlvol_triangulation(complex_)[0]
+    if a != b:
+        raise CrossCheckError(
+            f"tlvol mismatch: subsets {a!r} vs triangulation {b!r}"
+        )
+    return a, witness
 
 
 def _ivol_complex(arg, guard):
@@ -149,74 +147,46 @@ def _ivol_complex(arg, guard):
     shifted into range and the result is corrected by homogeneity
     (tlvol_i of the translate by s differs by exactly s*i).
     """
-    if isinstance(arg, CellComplex):
-        return arg, 0
-    if not isinstance(arg, TropMatrix):
-        raise ValidationError(
-            f"expected a matrix or cell complex, got {type(arg).__name__}"
-        )
-    if not arg.is_finite():
-        raise ValidationError(
-            "i-volumes are only defined here for finite entries"
-        )
-    low = min(min(row) for row in arg.entries)
-    shift = -low if low < 0 else 0
-    complex_ = enumerate_triangulation(arg.translate(shift), resolve_guard(guard))
-    return complex_, shift
+    shift = 0
+    if isinstance(arg, TropMatrix):
+        if not arg.is_finite():
+            raise ValidationError(
+                "i-volumes are only defined here for finite entries"
+            )
+        shift = max(0, -min(min(row) for row in arg.entries))
+        arg = arg.translate(shift)
+    return as_complex(arg, guard), shift
 
 
-def _sum_largest(coords: Sequence, i: int):
-    return sum(sorted(coords, reverse=True)[:i])
+def _trunk_max(complex_: CellComplex, shift: int, i: int, key: Callable):
+    """(max of key(v, i) over the i-trunk vertices, witness), both shifted back.
 
-
-def _sum_smallest(coords: Sequence, i: int):
-    return sum(sorted(coords)[:i])
+    The witness is the first strict maximizer in sorted vertex order.
+    """
+    d = complex_.ambient_dim
+    if not 1 <= i <= d:
+        raise ValidationError(f"i must be in 1..{d}, got {i}")
+    trunk = {v for cell in complex_.cells if cell.dim >= i for v in cell.vertices}
+    best = None
+    witness = None
+    for v in sorted(trunk):
+        val = key(v, i)
+        if best is None or val > best:
+            best = val
+            witness = v
+    if best is None:
+        return None, None
+    return best - i * shift, tuple(c - shift for c in witness)
 
 
 def tlvol_i_plus(arg, i: int, guard: int | None = None):
     """(upper barycentric i-volume, witness vertex): best i largest coordinates."""
-    complex_, shift = _ivol_complex(arg, guard)
-    d = complex_.ambient_dim
-    if not 1 <= i <= d:
-        raise ValidationError(f"i must be in 1..{d}, got {i}")
-    candidates = set()
-    for cell in complex_.cells:
-        if cell.dim >= i:
-            candidates.update(cell.vertices)
-    best = None
-    witness = None
-    for v in sorted(candidates):
-        val = _sum_largest(v, i)
-        if best is None or val > best:
-            best = val
-            witness = tuple(c - shift for c in v)
-    if best is None:
-        return None, None
-    return best - i * shift, witness
+    return _trunk_max(*_ivol_complex(arg, guard), i, max_subset_sum)
 
 
 def tlvol_i_minus(arg, i: int, guard: int | None = None):
-    """(lower barycentric i-volume, witness point): best i smallest coordinates.
-
-    Concave objective, maximized per closed trunk cell by the exact LP; the
-    optimum may sit in a cell's relative interior.
-    """
-    complex_, shift = _ivol_complex(arg, guard)
-    d = complex_.ambient_dim
-    if not 1 <= i <= d:
-        raise ValidationError(f"i must be in 1..{d}, got {i}")
-    best = None
-    witness = None
-    for cell in complex_.cells:
-        if cell.dim < i:
-            continue
-        val, point = lp_max_min_linear(cell.vertices, i)
-        if best is None or val > best:
-            best = val
-            witness = tuple(c - shift for c in point)
-    if best is None:
-        return None, None
-    return best - i * shift, witness
+    """(lower barycentric i-volume, witness vertex): best i smallest coordinates."""
+    return _trunk_max(*_ivol_complex(arg, guard), i, min_subset_sum)
 
 
 def qtvol_plus(m: TropMatrix):
@@ -246,19 +216,18 @@ def tlsurf(arg, guard: int | None = None) -> tuple:
     d = complex_.ambient_dim
     if d - 1 < 1:
         raise ValidationError("surface areas need dimension at least 2")
-    if shift:
-        # re-wrap the original argument so the shift correction is applied once
-        minus = tlvol_i_minus(arg, d - 1, guard)[0]
-        plus = tlvol_i_plus(arg, d - 1, guard)[0]
-    else:
-        minus = tlvol_i_minus(complex_, d - 1, guard)[0]
-        plus = tlvol_i_plus(complex_, d - 1, guard)[0]
-    return minus, plus
+    return (
+        _trunk_max(complex_, shift, d - 1, min_subset_sum)[0],
+        _trunk_max(complex_, shift, d - 1, max_subset_sum)[0],
+    )
 
 
 def discrete_surface(m: TropMatrix, guard: int | None = None) -> Optional[int]:
     """Log of the second highest counting coefficient, via exact b-samples."""
-    complex_ = _as_complex(m, guard)
+    return _discrete_surface(m, as_complex(m, guard))
+
+
+def _discrete_surface(m: TropMatrix, complex_: CellComplex) -> Optional[int]:
     bound = log_degree_bound(m)
     samples = [(b, c_dminus1_direct(complex_, b)) for b in range(2, bound + 3)]
     return log_map(samples, bound)
@@ -266,14 +235,7 @@ def discrete_surface(m: TropMatrix, guard: int | None = None) -> Optional[int]:
 
 def _fmt_value(v) -> str:
     """Report rendering: every value is a string, rationals reduced as p/q."""
-    if v is UNIQUE_GAP:
-        return "unique"
-    if v is None:
-        return "-inf"
-    f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return "unique" if v is UNIQUE_GAP else str(format_entry(v))
 
 
 @dataclass(frozen=True)
@@ -333,13 +295,18 @@ class VolumeReport:
 def build_volume_report(
     m: TropMatrix, method: str = "subsets", guard: int | None = None
 ) -> VolumeReport:
-    """Evaluate every functional that applies to the input matrix."""
+    """Evaluate every functional that applies to the input matrix.
+
+    The matrix is triangulated at most once: the triangulation methods and
+    the i-volumes, surface areas and discrete surface all read one complex.
+    """
+    complex_ = None
     if method == "both":
-        tl = tlvol(m, "both", guard)
-        tl_w = tlvol_subsets(m)[1]
+        complex_ = as_complex(m, guard)
+        tl, tl_w = _tlvol_both(m, complex_)
     elif method == "triangulation":
-        tl, wit_base = tlvol_triangulation(m, guard)
-        tl_w = None
+        complex_ = as_complex(m, guard)
+        tl, tl_w = tlvol_triangulation(complex_)[0], None
     else:
         tl, tl_w = tlvol_subsets(m)
     if m.cols >= m.rows:
@@ -354,10 +321,14 @@ def build_volume_report(
     ivols = None
     surface = None
     if m.is_finite() and m.is_integer():
+        # a complex built above is of a nonnegative matrix: shift 0
+        shift = 0
+        if complex_ is None:
+            complex_, shift = _ivol_complex(m, guard)
         ivols = {}
         for i in range(1, m.rows + 1):
-            pv, pw = tlvol_i_plus(m, i, guard)
-            mv, mw = tlvol_i_minus(m, i, guard)
+            pv, pw = _trunk_max(complex_, shift, i, max_subset_sum)
+            mv, mw = _trunk_max(complex_, shift, i, min_subset_sum)
             ivols[i] = {
                 "plus": pv,
                 "plus_witness": pw,
@@ -365,10 +336,10 @@ def build_volume_report(
                 "minus_witness": mw,
             }
         if m.rows >= 2:
-            lo, hi = tlsurf(m, guard)
-            surface = {"lower": lo, "upper": hi, "discrete": None}
+            top = ivols[m.rows - 1]
+            surface = {"lower": top["minus"], "upper": top["plus"], "discrete": None}
             if m.is_nonnegative():
-                surface["discrete"] = discrete_surface(m, guard)
+                surface["discrete"] = _discrete_surface(m, complex_)
     return VolumeReport(
         tlvol=tl,
         tlvol_witness=tl_w,

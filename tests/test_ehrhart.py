@@ -355,6 +355,26 @@ def test_chain_guard_names_stage_on_every_call():
     assert errors[0] == errors[1]
 
 
+def test_big_int_box_scan_matches_numpy_scan():
+    # The big-int route (taken when big * big >= 2**62) shares its
+    # membership test with `tropevol plot`; -inf entries and columns included.
+    rng = random.Random(62)
+    for _ in range(200):
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        t, b = rng.randint(1, 3), rng.randint(2, 3)
+        rows = [
+            [None if rng.random() < 0.2 else rng.randint(0, 2) for _ in range(n)]
+            for _ in range(d)
+        ]
+        tb = [[0 if e is None else t * b ** e for e in row] for row in rows]
+        big = t * b ** max((e for row in rows for e in row if e is not None), default=0)
+        hi = [max(row) for row in tb]
+        empty = [not any(row[j] for row in tb) for j in range(n)]
+        assert ehrhart._count_maxtimes_py(tb, hi, big) == ehrhart._count_maxtimes_np(
+            tb, hi, big, empty, any(empty)
+        ), (rows, t, b)
+
+
 @st.composite
 def counting_matrices(draw):
     d = draw(st.integers(min_value=1, max_value=2))

@@ -7,13 +7,16 @@ fast paths cannot drift.
 
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropevol.core import ScaledPermutationMatrix, TropMatrix, act
+from tropevol.cells import enumerate_triangulation
+from tropevol.core import ScaledPermutationMatrix, TropMatrix, act, min_subset_sum
 from tropevol.ehrhart import log_coefficient
 from tropevol.errors import CrossCheckError, ValidationError
 from tropevol.fixtures import (
@@ -25,13 +28,12 @@ from tropevol.fixtures import (
     fix_prod,
     fix_tri,
 )
-from tropevol.ratlp import simplex_max
+from tropevol.ratlp import lp_max_min_linear, simplex_max
 from tropevol.volumes import (
     UNIQUE_GAP,
     build_volume_report,
     cartesian_product,
     discrete_surface,
-    lp_max_min_linear,
     qtvol_plus,
     simplex_dtrunk_barycenter,
     tlsurf,
@@ -317,3 +319,72 @@ def test_min_volume_never_exceeds_max_volume(m: TropMatrix) -> None:
             assert hi is None
         else:
             assert lo <= hi
+
+
+def _lp_lower_i_volume(m: TropMatrix, i: int):
+    """Oracle: the best exact LP optimum over the closed cells of the i-trunk.
+
+    Only cells that are no facet of another trunk cell are solved; their
+    closures cover the trunk.  Returns the lower i-volume and the set of
+    i-trunk vertices, both moved back by the translation that made the
+    entries nonnegative.
+    """
+    shift = max(0, -min(min(row) for row in m.entries))
+    cells = [c for c in enumerate_triangulation(m.translate(shift)).cells if c.dim >= i]
+    if not cells:
+        return None, set()
+    facets = {f for c in cells if c.dim > i for f in c.facets()}
+    best = max(lp_max_min_linear(c.vertices, i)[0] for c in cells if c not in facets)
+    trunk = {tuple(x - shift for x in v) for c in cells for v in c.vertices}
+    return best - i * shift, trunk
+
+
+def test_lower_i_volume_matches_lp_oracle_on_random_matrices() -> None:
+    rng = random.Random(1908)
+    cases = 0
+    for _ in range(200):
+        d = rng.choice((2, 3))
+        cols = rng.randint(2, 4 if d == 2 else 3)
+        m = TropMatrix.from_rows(
+            [[rng.randint(-2, 3) for _ in range(cols)] for _ in range(d)]
+        )
+        for i in range(1, d + 1):
+            expected, trunk = _lp_lower_i_volume(m, i)
+            value, witness = tlvol_i_minus(m, i)
+            assert value == expected, (m.entries, i)
+            if expected is None:
+                assert witness is None
+            else:
+                assert witness in trunk, (m.entries, i)
+                assert min_subset_sum(witness, i) == value
+                cases += 1
+    assert cases >= 200
+
+
+def test_i_volume_witness_is_first_maximizer_in_sorted_order() -> None:
+    # The segment from (0,0) to (0,1): both vertices have smallest
+    # coordinate 0, the sorted-first one is the witness.
+    seg = TropMatrix(((0, 0), (0, 1)))
+    assert tlvol_i_minus(seg, 1) == (0, (0, 0))
+    assert tlvol_i_minus(_translate(seg, -2), 1) == (-2, (-2, -2))
+    # The bent segment (0,1) - (1,1) - (1,0): every vertex has largest
+    # coordinate 1, and (0,1) sorts first.
+    bent = TropMatrix(((0, 1), (1, 0)))
+    assert tlvol_i_plus(bent, 1) == (1, (0, 1))
+
+
+def test_default_report_triangulates_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    original = enumerate_triangulation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropevol") and getattr(module, "enumerate_triangulation", None) is original:
+            monkeypatch.setattr(module, "enumerate_triangulation", counting)
+    for m in (fix_4d(), fix_l(4), fix_delta2()):
+        calls.clear()
+        build_volume_report(m)
+        assert len(calls) == 1, m.entries
