@@ -194,10 +194,6 @@ class CellComplex:
     cells: tuple
 
     @cached_property
-    def _by_vertexset(self) -> dict:
-        return {frozenset(c.vertices): c for c in self.cells}
-
-    @cached_property
     def by_dim(self) -> dict:
         out: dict = {}
         for c in self.cells:

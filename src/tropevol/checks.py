@@ -520,7 +520,7 @@ def suite_theorems(seed=0, cases=50) -> SuiteResult:
             f"tlvol_1^+ {pv!r} != max entry {tm1!r} on {m.entries}",
         )
         if d >= 2:
-            disc = discrete_surface(m)
+            disc = discrete_surface(complex_)
             lo = tlvol_i_minus(complex_, d - 1)[0]
             hi = tlvol_i_plus(complex_, d - 1)[0]
             if disc is None:

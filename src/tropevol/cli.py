@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cells import enumerate_triangulation
-from .core import TropMatrix
+from .core import TropMatrix, check_base
 from .ehrhart import ehrhart_report, maxtimes_membership
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .fixtures import (
@@ -86,8 +86,7 @@ def _load_matrix(args) -> TropMatrix:
 
 def _make_config(args) -> RunConfig:
     b = getattr(args, "b", 2)
-    if b < 2:
-        raise ValidationError(f"base must be at least 2, got {b}")
+    check_base(b)
     kmax = getattr(args, "kmax", None)
     if kmax is not None and kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
@@ -319,10 +318,11 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="tail length for TRI")
     p.add_argument("--d", type=int, default=None, help="dimension for cube")
     p.add_argument("--a", default=None, help="comma-separated base point for ALCOVE")
+    # the check suites take no --guard; TROPEVOL_GUARD still reaches them
+    p.add_argument("--guard", type=int, default=None, help="work guard override")
 
 
 def _add_common(p: argparse.ArgumentParser, formats) -> None:
-    p.add_argument("--guard", type=int, default=None, help="work guard override")
     p.add_argument("--out", default=None, help="write output to this file")
     p.add_argument("--format", choices=formats, default=None)
 

@@ -33,11 +33,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
 
-from .cells import AlcovedSimplex, as_complex, enumerate_triangulation
+from .cells import AlcovedSimplex, CellComplex, as_complex, enumerate_triangulation
 from .core import TropMatrix, check_base, contains, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
@@ -227,10 +227,14 @@ def count_classical_dilate(m: TropMatrix, k: int, guard: int | None = None) -> i
     return total
 
 
+def cell_exponents(cell: AlcovedSimplex) -> tuple:
+    """Chain weight exponents e_l: the smallest base coordinate on the l-th block."""
+    return tuple(min(cell.base[r] for r in block) for block in cell.blocks())
+
+
 def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
-    """Chain weights g_l = b**(min of the base point over the l-th block)."""
-    base = cell.vertices[0]
-    return tuple(b ** min(base[r] for r in block) for block in cell.blocks())
+    """Chain weights g_l = b**e_l, one per increment block."""
+    return tuple(b ** e for e in cell_exponents(cell))
 
 
 def cell_rvol(cell: AlcovedSimplex, b: int) -> Fraction:
@@ -322,7 +326,7 @@ def classical_ehrhart_scaled_simplex(
     check_base(b)
     guard = resolve_guard(guard)
     m = cell.dim
-    s = min((cell.base[r] for block in cell.blocks() for r in block), default=0)
+    s = min(cell_exponents(cell), default=0)
     shifted = AlcovedSimplex.from_chain(
         [tuple(x - s for x in v) for v in cell.vertices]
     )
@@ -374,23 +378,28 @@ def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
     return Fraction(b - 1) ** d * total
 
 
-def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
-    """Second-highest coefficient by facet weights, no interpolation.
+def weighted_facets(complex_: CellComplex) -> Iterator[tuple]:
+    """(delta, F) for the (d-1)-cells F of the complex with nonzero facet weight.
 
-    Each (d-1)-cell contributes delta * (b-1)**(d-1) * rvol with delta
-    depending on how many full cells cover it: none -> 1 (a tentacle facet),
-    one -> 1/2 (boundary), two -> 0 (interior wall).
+    delta = (2 - number of full cells covering F) / 2: none -> 1 (a tentacle
+    facet), one -> 1/2 (boundary), two -> 0 (interior wall, skipped).
     """
+    for cell in complex_.cells_of_dim(complex_.ambient_dim - 1):
+        covers = complex_.facet_cover_count.get(frozenset(cell.vertices), 0)
+        delta = Fraction(2 - covers, 2)
+        if delta:
+            yield delta, cell
+
+
+def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
+    """Second-highest coefficient: sum of delta * (b-1)**(d-1) * rvol over facets."""
     check_base(b)
     complex_ = as_complex(arg, resolve_guard(guard))
-    d = complex_.ambient_dim
-    total = Fraction(0)
-    for cell in complex_.cells_of_dim(d - 1):
-        cnt = complex_.facet_cover_count.get(frozenset(cell.vertices), 0)
-        delta = Fraction(2 - cnt, 2)
-        if delta:
-            total += delta * Fraction(b - 1) ** (d - 1) * cell_rvol(cell, b)
-    return total
+    scale = Fraction(b - 1) ** (complex_.ambient_dim - 1)
+    return sum(
+        (delta * scale * cell_rvol(cell, b) for delta, cell in weighted_facets(complex_)),
+        Fraction(0),
+    )
 
 
 def tropical_ehrhart_poly(

@@ -2,7 +2,10 @@
 
 Polynomials are coefficient lists [c_0, c_1, ...] over Fraction.  Everything
 here is a few dozen lines of textbook algebra over Q; it exists because the
-package must not round.
+package must not round.  Interpolation goes through the Newton form: the
+divided differences f[x_0..x_k] take n(n-1)/2 exact divisions, and Horner's
+rule expands a_0 + (x - x_0)(a_1 + (x - x_1)(a_2 + ...)) into the monomial
+basis in another O(n^2) operations.
 """
 
 from __future__ import annotations
@@ -32,35 +35,24 @@ def poly_degree(coeffs: Sequence[Fraction]) -> int:
 def lagrange_interpolate(points: Sequence[tuple]) -> tuple:
     """Coefficients of the unique polynomial through (x_i, y_i), exact.
 
-    len(points) nodes give a polynomial of degree < len(points).  Nodes must
-    be pairwise distinct.
+    len(points) nodes give len(points) coefficients, of a polynomial of
+    degree < len(points).  Nodes must be pairwise distinct.
     """
     xs = [Fraction(p[0]) for p in points]
-    ys = [Fraction(p[1]) for p in points]
+    dd = [Fraction(p[1]) for p in points]
     n = len(points)
     if len(set(xs)) != n:
         raise ValidationError("interpolation nodes must be distinct")
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (x - x_j), then scale
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = _poly_mul_linear(basis, -xs[j])
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
+    # dd[i] becomes f[x_0..x_i]; i runs downwards so dd[i - 1] is still of order j - 1
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = dd[-1:]
+    for a, x in zip(reversed(dd[:-1]), reversed(xs[:-1])):
+        # coeffs := coeffs * (X - x) + a
+        coeffs = [
+            a - x * coeffs[0],
+            *(lo - x * hi for lo, hi in zip(coeffs, coeffs[1:])),
+            coeffs[-1],
+        ]
     return tuple(coeffs)
-
-
-def _poly_mul_linear(coeffs, constant):
-    """Multiply by (x + constant)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * constant
-        out[k + 1] += c
-    return out
-

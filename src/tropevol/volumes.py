@@ -15,8 +15,12 @@ smallest (lower) coordinates over the i-trunk, the closure of the cells of
 dimension >= i.  A closed cell is the convex hull of a chain v_0 <= ... <= v_m,
 so each of its points lies below the top vertex v_m; both sums are monotone,
 so both maxima are attained at trunk vertices and are read off them directly.
-A report triangulates its matrix once and reads every functional off that
-one complex.
+The discrete surface Log c_{d-1} is the degree in b of the sum over the
+(d-1)-cells F of delta_F * (b-1)**(d-1) * b**e_F / (d-1)!, with facet weight
+delta_F in {0, 1/2, 1} (a facet of at most two d-cells) and e_F the sum of
+F's chain weight exponents.  No term is negative, so nothing cancels and
+the degree is d - 1 plus the largest e_F with delta_F nonzero.  A report
+triangulates its matrix once and reads every functional off that complex.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Optional
 
 from .cells import CellComplex, as_complex
 from .core import Entry, TropMatrix, format_entry, max_subset_sum, min_subset_sum, tsum
-from .ehrhart import c_dminus1_direct, log_degree_bound, log_map
+from .ehrhart import cell_exponents, weighted_facets
 from .errors import CrossCheckError, ValidationError
 from .linalg import (
     UNIQUE_GAP,
@@ -222,15 +226,11 @@ def tlsurf(arg, guard: int | None = None) -> tuple:
     )
 
 
-def discrete_surface(m: TropMatrix, guard: int | None = None) -> Optional[int]:
-    """Log of the second highest counting coefficient, via exact b-samples."""
-    return _discrete_surface(m, as_complex(m, guard))
-
-
-def _discrete_surface(m: TropMatrix, complex_: CellComplex) -> Optional[int]:
-    bound = log_degree_bound(m)
-    samples = [(b, c_dminus1_direct(complex_, b)) for b in range(2, bound + 3)]
-    return log_map(samples, bound)
+def discrete_surface(arg, guard: int | None = None) -> Optional[int]:
+    """Log c_{d-1} from the facet weights (module docstring); None if c_{d-1} = 0."""
+    complex_ = as_complex(arg, guard)
+    exps = [sum(cell_exponents(cell)) for _, cell in weighted_facets(complex_)]
+    return complex_.ambient_dim - 1 + max(exps) if exps else None
 
 
 def _fmt_value(v) -> str:
@@ -339,7 +339,7 @@ def build_volume_report(
             top = ivols[m.rows - 1]
             surface = {"lower": top["minus"], "upper": top["plus"], "discrete": None}
             if m.is_nonnegative():
-                surface["discrete"] = _discrete_surface(m, complex_)
+                surface["discrete"] = discrete_surface(complex_)
     return VolumeReport(
         tlvol=tl,
         tlvol_witness=tl_w,

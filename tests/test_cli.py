@@ -275,6 +275,20 @@ def test_parse_and_validation_exits() -> None:
     assert _run("volume", "--fixture", "L", "--definitely-not-a-flag").returncode == 2
 
 
+def test_plot_rejects_base_below_two() -> None:
+    proc = _run("plot", "--fixture", "L", "--b", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: base must be")
+
+
+def test_check_takes_guard_only_from_environment() -> None:
+    proc = _run("check", "--suite", "ehrhart", "--cases", "2", "--guard", "1")
+    assert proc.returncode == 2
+    assert "--guard" in proc.stderr
+    via_env = _run("check", "--suite", "ehrhart", "--cases", "2", env={"TROPEVOL_GUARD": "1"})
+    assert via_env.returncode == 3
+
+
 def test_cross_check_failure_maps_to_exit_four(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
 ) -> None:

@@ -43,7 +43,7 @@ from tropevol.fixtures import (
     fix_prod,
     fix_tri,
 )
-from tropevol.ratpoly import lagrange_interpolate
+from tropevol.ratpoly import lagrange_interpolate, poly_eval
 from tropevol.volumes import cartesian_product
 
 
@@ -202,6 +202,41 @@ def test_log_map():
     assert log_map([(b, Fraction(1, 2)) for b in range(2, 9)], 3) == 0
     with pytest.raises(ValidationError):
         log_map([(b, Fraction(1, b)) for b in range(2, 9)], 3)
+
+
+def _seeded_nodes(rng, kind, n):
+    if kind == "int":
+        return rng.sample(range(-40, 40), n)
+    if kind == "fraction":
+        nodes = set()
+        while len(nodes) < n:
+            nodes.add(Fraction(rng.randint(-30, 30), rng.randint(1, 9)))
+        return list(nodes)
+    b = rng.randint(2, 5)
+    return [Fraction(b) ** k for k in range(n)]
+
+
+def test_lagrange_interpolate_reproduces_seeded_nodes():
+    rng = random.Random(1908)
+    for n in range(1, 13):
+        for kind in ("int", "fraction", "power"):
+            for _ in range(4):
+                xs = _seeded_nodes(rng, kind, n)
+                ys = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 5)) for _ in xs]
+                coeffs = lagrange_interpolate(list(zip(xs, ys)))
+                assert len(coeffs) == n
+                assert all(isinstance(c, Fraction) for c in coeffs)
+                assert all(poly_eval(coeffs, x) == y for x, y in zip(xs, ys)), (xs, ys)
+                # a polynomial of degree < n is its own interpolant
+                poly = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+                assert lagrange_interpolate([(x, poly_eval(poly, x)) for x in xs]) == poly
+
+
+def test_lagrange_interpolate_rejects_duplicate_nodes():
+    with pytest.raises(ValidationError):
+        lagrange_interpolate([(1, 2), (3, 4), (1, 5)])
+    with pytest.raises(ValidationError):
+        lagrange_interpolate([(Fraction(4, 2), 0), (2, 0)])
 
 
 def test_log_degree_bound():

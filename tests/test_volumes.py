@@ -29,6 +29,7 @@ from tropevol.fixtures import (
     fix_tri,
 )
 from tropevol.ratlp import lp_max_min_linear, simplex_max
+from tropevol.ratpoly import lagrange_interpolate
 from tropevol.volumes import (
     UNIQUE_GAP,
     build_volume_report,
@@ -373,18 +374,59 @@ def test_i_volume_witness_is_first_maximizer_in_sorted_order() -> None:
     assert tlvol_i_plus(bent, 1) == (1, (0, 1))
 
 
-def test_default_report_triangulates_once(monkeypatch: pytest.MonkeyPatch) -> None:
+def _count_calls(monkeypatch: pytest.MonkeyPatch, original) -> list:
+    """Wrap `original` in every tropevol module that binds it; one entry per call."""
     calls = []
-    original = enumerate_triangulation
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropevol") and getattr(module, "enumerate_triangulation", None) is original:
-            monkeypatch.setattr(module, "enumerate_triangulation", counting)
+    name = original.__name__
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("tropevol") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_default_report_triangulates_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _count_calls(monkeypatch, enumerate_triangulation)
     for m in (fix_4d(), fix_l(4), fix_delta2()):
         calls.clear()
         build_volume_report(m)
         assert len(calls) == 1, m.entries
+
+
+def test_report_never_interpolates(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _count_calls(monkeypatch, lagrange_interpolate)
+    for m in (fix_4d(), fix_l(4), fix_delta2()):
+        for method in ("subsets", "triangulation", "both"):
+            if method != "subsets" and not m.is_nonnegative():
+                continue
+            build_volume_report(m, method)
+            assert calls == [], (m.entries, method)
+
+
+def test_discrete_surface_matches_sampled_log_coefficient() -> None:
+    matrices = [
+        fix_l(2), fix_l(4), fix_l(6), fix_tri(3, 0), fix_tri(3, 2), fix_tri(4, 1),
+        fix_4d(), fix_delta2().translate(1), cartesian_product(*fix_prod(3)),
+        alcove_simplex((1, 2)), alcove_simplex((0, 2, 1)),
+    ]
+    rng = random.Random(2019)
+    for _ in range(240):
+        d = rng.choice((2, 3))
+        cols = rng.randint(1, 4)
+        matrices.append(
+            TropMatrix.from_rows([[rng.randint(0, 4) for _ in range(cols)] for _ in range(d)])
+        )
+    nones = covered_twice = 0
+    for m in matrices:
+        complex_ = enumerate_triangulation(m)
+        value = discrete_surface(complex_)
+        assert value == log_coefficient(m, m.rows - 1), m.entries
+        assert discrete_surface(m) == value
+        nones += value is None
+        covered_twice += complex_.dim == m.rows and 2 in complex_.facet_cover_count.values()
+    assert nones >= 20
+    assert covered_twice >= 20
