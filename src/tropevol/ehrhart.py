@@ -4,7 +4,11 @@ Two counting regimes share one polytope:
 
 * max-times: the image exp_b(P) of a hull P under coordinatewise b**(.) is an
   ordinary (classically convex by pieces) polytope with rational data; its
-  integer dilates t * exp_b(P) are counted exactly over Z_{>=0}^d.
+  integer dilates t * exp_b(P) are counted exactly over Z_{>=0}^d.  Every
+  fibre of the hull parallel to an axis is an interval, whose two ends have
+  closed forms in the other coordinates, so the count sweeps the box one
+  fibre along its longest axis at a time: work and memory are the box size
+  over the longest side, not the box size.
 * tropical: the count of b-power lattice points of the tropical dilate k (.) P
   equals the max-times count at t = b**k.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
@@ -94,77 +98,64 @@ def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
 def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> int:
     """#(t * exp_b(P) cap Z_{>=0}^d), exactly.
 
-    Works at integer scale: with L = t * b**(max entry), the residuation
-    coefficients of a candidate z against the scaled generators are integers
-    z_i * b**(max - M_ij), and membership is the usual cap-and-recompose test
-    carried out in exact integer arithmetic.  Vectorized over box chunks when
-    the intermediate products fit in int64, otherwise pure big-int Python.
+    At integer scale big = t * b**(max entry), with tb_ij = t * b**M_ij (0
+    for -inf) and w_ij = big // tb_ij, the scaled residuation coefficients
+    of z are lam_j = min_i z_i * w_ij (see `maxtimes_membership`).  Fibres
+    of a tropical polytope parallel to an axis are intervals (Develin and
+    Sturmfels, *Tropical convexity*, 2004).  On the fibre z_a = s along the
+    longest box axis a, lam_j = min(c_j, s * w_aj) with c_j = min over
+    k != a of z_k * w_kj, so row a recomposes iff s <= hi = max over
+    tb_aj > 0 of min(tb_aj, c_j // w_aj), while each row i != a with
+    z_i > 0 needs s >= the least ceil(z_i * w_ij / w_aj) over j with
+    z_i <= tb_ij and c_j == z_i * w_ij, and max lam >= big needs s >= the
+    least tb_aj over j with c_j >= big (0 for an all -inf column).  The
+    fibre holds max(0, hi - lo + 1) points, lo the largest lower bound.
+    The other coordinates form a numpy grid of box size / longest side
+    points, which bounds the memory; it holds int64 when big * big < 2**62
+    and Python ints otherwise.
     """
     check_base(b)
     if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValidationError(f"dilation factor must be a positive integer, got {t!r}")
     _check_counting_matrix(m, allow_minus_inf=True)
     guard = resolve_guard(guard)
-    d, n = m.rows, m.cols
-    amax = m.max_entry()
-    if amax is None:
-        amax = 0
+    n = m.cols
     tb = [[0 if e is None else t * b ** e for e in row] for row in m.entries]
     hi = [max(row) for row in tb]
-    candidates = 1
-    for h in hi:
-        candidates *= h + 1
+    candidates = prod(h + 1 for h in hi)
     check_guard(candidates, guard, "max-times box scan")
-    big = t * b ** amax
-    empty_col = [all(tb[i][j] == 0 for i in range(d)) for j in range(n)]
-    has_empty = any(empty_col)
-    if big * big < 2 ** 62:
-        return _count_maxtimes_np(tb, hi, big, empty_col, has_empty)
-    return _count_maxtimes_py(tb, hi, big)
-
-
-def _count_maxtimes_np(tb, hi, big, empty_col, has_empty) -> int:
-    d = len(hi)
-    n = len(tb[0])
-    rest_shape = [h + 1 for h in hi[1:]]
-    rest = 1
-    for s in rest_shape:
-        rest *= s
-    if d > 1:
-        mesh = _np.indices(rest_shape).reshape(d - 1, rest).astype(_np.int64)
-    chunk = max(1, 4_000_000 // max(rest, 1))
-    total = 0
-    for start in range(0, hi[0] + 1, chunk):
-        z0 = _np.arange(start, min(start + chunk, hi[0] + 1), dtype=_np.int64)
-        if d > 1:
-            zz = _np.empty((d, z0.size * rest), dtype=_np.int64)
-            zz[0] = _np.repeat(z0, rest)
-            zz[1:] = _np.tile(mesh, z0.size)
-        else:
-            zz = z0.reshape(1, -1)
-        lam = _np.empty((n, zz.shape[1]), dtype=_np.int64)
+    big = t * b ** (m.max_entry() or 0)
+    inf = big * big + 1  # above every z_i * w_ij, as z_i <= big and w_ij <= big
+    dtype = _np.int64 if big * big < 2 ** 62 else object
+    a = hi.index(max(hi))
+    others = [i for i in range(m.rows) if i != a]
+    size = candidates // (hi[a] + 1)
+    axes = _np.indices([hi[i] + 1 for i in others]).reshape(len(others), size)
+    grid = dict(zip(others, axes.astype(dtype)))
+    w = [[big // e if e else 0 for e in row] for row in tb]
+    c = [_np.full(size, inf, dtype) for _ in range(n)]
+    for k, zk in grid.items():
         for j in range(n):
-            if empty_col[j]:
-                lam[j] = big
-                continue
-            cur = None
-            for i in range(d):
-                if tb[i][j] == 0:
-                    continue
-                val = zz[i] * (big // tb[i][j])
-                cur = val if cur is None else _np.minimum(cur, val)
-            lam[j] = cur
-        ok = _np.ones(zz.shape[1], dtype=bool) if has_empty else lam.max(axis=0) >= big
-        lam_cap = _np.minimum(lam, big)
-        for i in range(d):
-            best = _np.zeros(zz.shape[1], dtype=_np.int64)
-            for j in range(n):
-                if tb[i][j] == 0:
-                    continue
-                _np.maximum(best, lam_cap[j] * tb[i][j], out=best)
-            ok &= best == big * zz[i]
-        total += int(_np.count_nonzero(ok))
-    return total
+            if tb[k][j]:
+                _np.minimum(c[j], zk * w[k][j], out=c[j])
+    top = _np.zeros(size, dtype)
+    for j in range(n):
+        if tb[a][j]:
+            _np.maximum(top, _np.minimum(c[j] // w[a][j], tb[a][j]), out=top)
+    # lo, the largest lower bound on s, starts at the one of max lam >= big
+    lo = _np.full(size, inf, dtype)
+    for j in range(n):
+        lo = _np.where(c[j] >= big, _np.minimum(lo, tb[a][j]), lo)
+    for i, zi in grid.items():
+        bound = _np.full(size, inf, dtype)
+        for j in range(n):
+            if tb[i][j]:
+                zw = zi * w[i][j]
+                need = -(-zw // w[a][j]) if tb[a][j] else 0
+                fits = (zi <= tb[i][j]) & (c[j] == zw)
+                bound = _np.where(fits, _np.minimum(bound, need), bound)
+        lo = _np.where(zi > 0, _np.maximum(lo, bound), lo)
+    return int(_np.maximum(top - lo + 1, 0).sum())
 
 
 def maxtimes_membership(
@@ -195,11 +186,6 @@ def maxtimes_membership(
         )
 
     return member
-
-
-def _count_maxtimes_py(tb, hi, big) -> int:
-    member = maxtimes_membership(tb, big)
-    return sum(1 for z in itertools.product(*[range(h + 1) for h in hi]) if member(z))
 
 
 def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> int:
@@ -239,10 +225,7 @@ def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
 
 def cell_rvol(cell: AlcovedSimplex, b: int) -> Fraction:
     """Relative volume of the b-scaled closed cell: (prod g_l) / m!."""
-    prod = 1
-    for g in cell_weights(cell, b):
-        prod *= g
-    return Fraction(prod, factorial(cell.dim))
+    return Fraction(prod(cell_weights(cell, b)), factorial(cell.dim))
 
 
 def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tropevol import cells, checks
 from tropevol.checks import SUITES, SuiteResult, run_suites
 from tropevol.errors import ValidationError
 
@@ -53,3 +54,24 @@ def test_conjecture_suite_reports_warnings_not_failures() -> None:
     result = run_suites(names=["conjecture"], seed=0, cases=10)[0]
     assert result.passed
     assert result.warnings == []
+
+
+def test_volume_properties_triangulates_each_matrix_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Per case at most: the matrix, its nonnegative translate, the column
+    # subset, the extended matrix, the permuted copy and the two signed
+    # rotations once each, plus a translate with negative entries once per i
+    # (at most 3 rows).  Before the complexes were shared: 237 on 10 cases.
+    calls = []
+    original = cells.enumerate_triangulation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cells, "enumerate_triangulation", counting)
+    monkeypatch.setattr(checks, "enumerate_triangulation", counting)
+    result = run_suites(names=["volume-properties"], seed=0, cases=10)[0]
+    assert result.passed
+    assert len(calls) <= 9 * result.cases

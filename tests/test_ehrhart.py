@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -390,24 +391,64 @@ def test_chain_guard_names_stage_on_every_call():
     assert errors[0] == errors[1]
 
 
-def test_big_int_box_scan_matches_numpy_scan():
-    # The big-int route (taken when big * big >= 2**62) shares its
-    # membership test with `tropevol plot`; -inf entries and columns included.
-    rng = random.Random(62)
-    for _ in range(200):
-        d, n = rng.randint(1, 3), rng.randint(1, 4)
-        t, b = rng.randint(1, 3), rng.randint(2, 3)
-        rows = [
-            [None if rng.random() < 0.2 else rng.randint(0, 2) for _ in range(n)]
-            for _ in range(d)
-        ]
-        tb = [[0 if e is None else t * b ** e for e in row] for row in rows]
-        big = t * b ** max((e for row in rows for e in row if e is not None), default=0)
-        hi = [max(row) for row in tb]
-        empty = [not any(row[j] for row in tb) for j in range(n)]
-        assert ehrhart._count_maxtimes_py(tb, hi, big) == ehrhart._count_maxtimes_np(
-            tb, hi, big, empty, any(empty)
-        ), (rows, t, b)
+def _box_scan(rows, b, t):
+    # Oracle: the membership test of `tropevol plot` at every point of the box.
+    tb = [[0 if e is None else t * b ** e for e in row] for row in rows]
+    big = t * b ** max((e for row in rows for e in row if e is not None), default=0)
+    member = ehrhart.maxtimes_membership(tb, big)
+    return sum(1 for z in itertools.product(*[range(max(r) + 1) for r in tb]) if member(z))
+
+
+def _seeded_counting_rows(rng):
+    d, n = rng.randint(1, 4), rng.randint(1, 4)
+    top = 2 if d <= 2 else 1
+    rows = [
+        [None if rng.random() < 0.25 else rng.randint(0, top) for _ in range(n)]
+        for _ in range(d)
+    ]
+    if rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = None
+    return rows
+
+
+def test_fibre_count_matches_box_scan_oracle():
+    # -inf entries and all -inf columns included; every row can be the fibre axis.
+    rng = random.Random(5)
+    for _ in range(300):
+        rows = _seeded_counting_rows(rng)
+        b, t = rng.randint(2, 3), rng.randint(1, 4)
+        m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
+        assert count_maxtimes(m, b, t) == _box_scan(rows, b, t), (rows, b, t)
+
+
+def test_fibre_count_is_invariant_under_row_permutations():
+    # Permuting rows moves the longest box axis, so other fibre axes are used.
+    rng = random.Random(6)
+    for _ in range(150):
+        rows = _seeded_counting_rows(rng)
+        b, t = rng.randint(2, 3), rng.randint(1, 4)
+        counts = {
+            count_maxtimes(
+                TropMatrix(tuple(map(tuple, perm)), allow_minus_inf_columns=True), b, t
+            )
+            for perm in itertools.permutations(rows)
+        }
+        assert len(counts) == 1, (rows, b, t, counts)
+
+
+def test_fibre_count_of_segment_family_is_b_to_the_e():
+    for b in (2, 3):
+        for e in range(6):
+            rows = [[0, e], [0, 0]]
+            m = TropMatrix(tuple(map(tuple, rows)))
+            assert count_maxtimes(m, b, 1) == _box_scan(rows, b, 1) == b ** e
+    # big * big >= 2**62: the same count runs on Python ints
+    big = TropMatrix(((0, 40), (0, 0)))
+    with pytest.raises(GuardExceeded, match="max-times box scan"):
+        count_maxtimes(big, 2, 1)
+    assert count_maxtimes(big, 2, 1, guard=2 ** 42) == 2 ** 40
 
 
 @st.composite
