@@ -9,20 +9,24 @@ their vertex chain; since tropical polytopes are tropically convex and
 closed, an open cell lies inside a hull P iff all its chain vertices do.
 Enumeration therefore reduces to: collect the lattice points of P inside its
 bounding box, then walk all increment chains through that set.  Every chain
-is uniquely determined by its vertex set, so the sorted vertex tuple is the
-canonical key and no deduplication is needed.
+is uniquely determined by its vertex set, so the vertex tuple, in chain
+order, is the canonical key and no deduplication is needed.
 
-A cell also carries one representative (a, pi, s) description: a base point
-a, a coordinate order pi, and a sign pattern s in {"=", "<"}^(d+1) saying
-which of the d+1 nested prefix steps are strict.  dim = number of "<" - 1.
+A cell is its vertex chain and nothing else.  Only from_chain validates a
+chain, for input from outside; enumeration, faces and facets build chains
+that are valid by construction and call the constructor directly.
+from_description still builds a cell from an (a, pi, s) description: a base
+point a, a coordinate order pi, and a sign pattern s in {"=", "<"}^(d+1)
+saying which of the d+1 nested prefix steps are strict.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
@@ -47,38 +51,26 @@ def bounding_box(m: TropMatrix) -> tuple:
 
 @dataclass(frozen=True)
 class AlcovedSimplex:
-    """One open alcoved cell, stored by its canonical vertex chain."""
+    """One open alcoved cell, stored as its canonical vertex chain."""
 
     vertices: tuple            # increasing chain of integer points
-    base: tuple                # representative base point a (= vertices[0])
-    pi: tuple                  # representative coordinate order, 0-based
-    signs: tuple               # representative pattern over {"=", "<"}, length d+1
 
     @staticmethod
     def from_chain(vertices: Sequence[Sequence[int]]) -> "AlcovedSimplex":
-        """Build a cell from its vertex chain, deriving one (a, pi, s) witness."""
+        """Build a cell from a vertex chain given from outside, validating it."""
         vs = tuple(tuple(v) for v in vertices)
         if not vs:
             raise ValidationError("empty vertex chain")
-        d = len(vs[0])
-        blocks = []
+        used = set()
         for prev, cur in zip(vs, vs[1:]):
             diff = tuple(c - p for p, c in zip(prev, cur))
             if any(x not in (0, 1) for x in diff) or all(x == 0 for x in diff):
                 raise ValidationError(f"not a unit chain step: {prev} -> {cur}")
-            blocks.append(tuple(i for i, x in enumerate(diff) if x == 1))
-        used = [i for b in blocks for i in b]
-        if len(set(used)) != len(used):
-            raise ValidationError("chain increments must have disjoint supports")
-        rest = [i for i in range(d) if i not in set(used)]
-        pi = tuple(used + rest)
-        kept = {0}
-        total = 0
-        for b in blocks:
-            total += len(b)
-            kept.add(total)
-        signs = tuple("<" if j in kept else "=" for j in range(d + 1))
-        return AlcovedSimplex(vs, vs[0], pi, signs)
+            block = {i for i, x in enumerate(diff) if x == 1}
+            if block & used:
+                raise ValidationError("chain increments must have disjoint supports")
+            used |= block
+        return AlcovedSimplex(vs)
 
     @staticmethod
     def from_description(a: Sequence[int], pi: Sequence[int], signs: Sequence[str]) -> "AlcovedSimplex":
@@ -105,13 +97,9 @@ class AlcovedSimplex:
                 verts.append(tuple(v))
         return AlcovedSimplex.from_chain(verts)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlcovedSimplex):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+    @property
+    def base(self) -> tuple:
+        return self.vertices[0]
 
     @property
     def dim(self) -> int:
@@ -142,32 +130,22 @@ class AlcovedSimplex:
 
     def faces(self) -> Iterator["AlcovedSimplex"]:
         """All nonempty subchains: the open cells partitioning the closure."""
-        n = len(self.vertices)
-        for r in range(1, n + 1):
-            for keep in itertools.combinations(range(n), r):
-                yield AlcovedSimplex.from_chain([self.vertices[i] for i in keep])
+        vs = self.vertices
+        for r in range(1, len(vs) + 1):
+            for sub in itertools.combinations(vs, r):
+                yield AlcovedSimplex(sub)
 
     def facets(self) -> Iterator["AlcovedSimplex"]:
-        n = len(self.vertices)
-        for drop in range(n):
-            if n > 1:
-                yield AlcovedSimplex.from_chain(
-                    [self.vertices[i] for i in range(n) if i != drop]
-                )
+        vs = self.vertices
+        if len(vs) > 1:
+            for drop in range(len(vs)):
+                yield AlcovedSimplex(vs[:drop] + vs[drop + 1:])
 
     def to_json_dict(self) -> dict:
         return {
             "vertices": [list(v) for v in self.vertices],
             "dim": self.dim,
         }
-
-
-def _unit_increments(d: int) -> list:
-    """All nonzero 0/1 vectors, as coordinate-support tuples."""
-    out = []
-    for mask in range(1, 1 << d):
-        out.append(tuple(i for i in range(d) if mask >> i & 1))
-    return out
 
 
 def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
@@ -211,35 +189,37 @@ class CellComplex:
         return sorted(c.vertices[0] for c in self.cells_of_dim(0))
 
     @cached_property
+    def vertex_max_dim(self) -> dict:
+        """For each vertex, the largest dimension of a cell through it."""
+        out: dict = {}
+        for k in sorted(self.by_dim):
+            out.update((v, k) for c in self.by_dim[k] for v in c.vertices)
+        return out
+
+    @cached_property
     def facet_cover_count(self) -> dict:
-        """For each cell of dimension dim-1, how many top cells cover it."""
-        top = self.dim
-        counts = {frozenset(c.vertices): 0 for c in self.cells_of_dim(top - 1)}
-        for c in self.cells_of_dim(top):
+        """For each (dim-1)-cell, by vertex tuple: how many top cells cover it."""
+        counts = {c.vertices: 0 for c in self.cells_of_dim(self.dim - 1)}
+        for c in self.cells_of_dim(self.dim):
             for f in c.facets():
-                key = frozenset(f.vertices)
-                if key in counts:
-                    counts[key] += 1
+                if f.vertices in counts:
+                    counts[f.vertices] += 1
         return counts
 
     @cached_property
     def _facet_boundary_closure(self) -> frozenset:
-        """Vertex sets of all faces of the facets covered by exactly one top cell."""
-        closure = set()
-        for c in self.cells_of_dim(self.dim - 1):
-            if self.facet_cover_count.get(frozenset(c.vertices), 0) == 1:
-                for f in c.faces():
-                    closure.add(frozenset(f.vertices))
-        return frozenset(closure)
+        """Vertex tuples of all faces of the facets covered by exactly one top cell."""
+        return frozenset(
+            f.vertices
+            for c in self.cells_of_dim(self.dim - 1)
+            if self.facet_cover_count.get(c.vertices, 0) == 1
+            for f in c.faces()
+        )
 
     def is_pure(self) -> bool:
         """Every cell is a face of a top-dimensional cell."""
-        top = self.dim
-        covered = set()
-        for c in self.cells_of_dim(top):
-            for f in c.faces():
-                covered.add(frozenset(f.vertices))
-        return all(frozenset(c.vertices) in covered for c in self.cells)
+        covered = {f.vertices for c in self.cells_of_dim(self.dim) for f in c.faces()}
+        return all(c.vertices in covered for c in self.cells)
 
     def trunk(self, i: int) -> "CellComplex":
         """Downward closure of all cells of dimension >= i."""
@@ -263,27 +243,21 @@ class CellComplex:
         boundary: everything else.
         """
         top = self.dim
-        covered_by_higher = set()
-        for c in self.cells:
-            for f in c.faces():
-                if f.dim < c.dim:
-                    covered_by_higher.add(frozenset(f.vertices))
+        covered_by_higher = {
+            f.vertices for c in self.cells for f in c.faces() if f.dim < c.dim
+        }
         maximal = {
-            frozenset(c.vertices) for c in self.cells
-            if frozenset(c.vertices) not in covered_by_higher
+            c.vertices for c in self.cells if c.vertices not in covered_by_higher
         }
         boundary_closure = set(self._facet_boundary_closure)
         for c in self.cells:
-            key = frozenset(c.vertices)
-            if c.dim < top and key in maximal:
-                for f in c.faces():
-                    boundary_closure.add(frozenset(f.vertices))
+            if c.dim < top and c.vertices in maximal:
+                boundary_closure.update(f.vertices for f in c.faces())
         result: dict = {}
         for c in self.cells:
-            key = frozenset(c.vertices)
-            if key in maximal:
+            if c.vertices in maximal:
                 result[c] = "maximal"
-            elif key in boundary_closure:
+            elif c.vertices in boundary_closure:
                 result[c] = "boundary"
             else:
                 result[c] = "interior"
@@ -296,7 +270,7 @@ class CellComplex:
         facets covered exactly once.
         """
         closure = self._facet_boundary_closure
-        return [c for c in self.cells if frozenset(c.vertices) not in closure]
+        return [c for c in self.cells if c.vertices not in closure]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** c.dim for c in self.cells)
@@ -326,25 +300,22 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     guard = resolve_guard(guard)
     pts = lattice_points(m, guard)
     d = m.rows
-    increments = _unit_increments(d)
+    # every nonzero 0/1 increment, with its support as a bit mask
+    steps = [
+        (mask, tuple(mask >> i & 1 for i in range(d))) for mask in range(1, 1 << d)
+    ]
     cells = []
     budget = [0]
 
     def extend(chain, used_mask):
         check_guard(budget[0], guard, "chain enumeration")
         budget[0] += 1
-        cells.append(AlcovedSimplex.from_chain(chain))
+        cells.append(AlcovedSimplex(tuple(chain)))
         last = chain[-1]
-        for sup in increments:
-            mask = 0
-            for i in sup:
-                mask |= 1 << i
+        for mask, inc in steps:
             if mask & used_mask:
                 continue
-            nxt = list(last)
-            for i in sup:
-                nxt[i] += 1
-            nxt = tuple(nxt)
+            nxt = tuple(map(add, last, inc))
             if nxt in pts:
                 chain.append(nxt)
                 extend(chain, used_mask | mask)

@@ -310,9 +310,7 @@ def classical_ehrhart_scaled_simplex(
     guard = resolve_guard(guard)
     m = cell.dim
     s = min(cell_exponents(cell), default=0)
-    shifted = AlcovedSimplex.from_chain(
-        [tuple(x - s for x in v) for v in cell.vertices]
-    )
+    shifted = AlcovedSimplex(tuple(tuple(x - s for x in v) for v in cell.vertices))
     pts = [(t, closed_cell_count(shifted, b, t, guard)) for t in range(m + 1)]
     coeffs = lagrange_interpolate(pts)
     scale = b ** s
@@ -368,7 +366,7 @@ def weighted_facets(complex_: CellComplex) -> Iterator[tuple]:
     facet), one -> 1/2 (boundary), two -> 0 (interior wall, skipped).
     """
     for cell in complex_.cells_of_dim(complex_.ambient_dim - 1):
-        covers = complex_.facet_cover_count.get(frozenset(cell.vertices), 0)
+        covers = complex_.facet_cover_count.get(cell.vertices, 0)
         delta = Fraction(2 - covers, 2)
         if delta:
             yield delta, cell

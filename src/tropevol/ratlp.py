@@ -4,9 +4,9 @@ Solves max c.x subject to A x = b, x >= 0 with Fraction arithmetic, two
 phases and Bland's pivoting rule (smallest index), which guarantees
 termination.  Problem sizes here are tiny (a handful of barycentric
 coordinates and subset slacks), so the dense tableau is recomputed naively.
-The library itself solves no LP: this module is an oracle for ``checks``
-(simplex membership) and for the tests (``lp_max_min_linear`` against the
-lower i-volume).
+The library itself solves no LP: this module is an oracle for the tests
+(``simplex_max`` against the chain membership test of ``checks``,
+``lp_max_min_linear`` against the lower i-volume).
 """
 
 from __future__ import annotations

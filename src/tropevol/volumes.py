@@ -165,12 +165,14 @@ def _ivol_complex(arg, guard):
 def _trunk_max(complex_: CellComplex, shift: int, i: int, key: Callable):
     """(max of key(v, i) over the i-trunk vertices, witness), both shifted back.
 
-    The witness is the first strict maximizer in sorted vertex order.
+    The i-trunk vertices are the vertices of a cell of dimension >= i, read
+    off the complex's vertex_max_dim table.  The witness is the first strict
+    maximizer in sorted vertex order; an empty trunk gives (None, None).
     """
     d = complex_.ambient_dim
     if not 1 <= i <= d:
         raise ValidationError(f"i must be in 1..{d}, got {i}")
-    trunk = {v for cell in complex_.cells if cell.dim >= i for v in cell.vertices}
+    trunk = [v for v, k in complex_.vertex_max_dim.items() if k >= i]
     best = None
     witness = None
     for v in sorted(trunk):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,3 +166,41 @@ def test_complex_json_export():
 def test_triangulation_guard():
     with pytest.raises(GuardExceeded):
         enumerate_triangulation(fix_l(4), guard=2)
+
+
+def _seeded_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        cols = rng.randint(1, 4)
+        yield TropMatrix.from_rows(
+            [[rng.randint(0, 3) for _ in range(cols)] for _ in range(d)]
+        )
+
+
+def test_cell_is_only_its_vertex_chain():
+    assert [f.name for f in dataclasses.fields(AlcovedSimplex)] == ["vertices"]
+    c = AlcovedSimplex.from_chain([(0, 0), (0, 1), (1, 1)])
+    assert c == AlcovedSimplex(((0, 0), (0, 1), (1, 1)))
+    assert hash(c) == hash(AlcovedSimplex(c.vertices))
+    assert c != AlcovedSimplex(((0, 0), (1, 1)))
+
+
+def test_trusted_cells_round_trip_through_from_chain():
+    # enumeration, faces and facets skip validation; from_chain must accept
+    # each of their chains and give back an equal cell
+    seen = 0
+    for m in _seeded_matrices(61, 40):
+        for c in enumerate_triangulation(m).cells:
+            for f in (c, *c.faces(), *c.facets()):
+                assert AlcovedSimplex.from_chain(f.vertices) == f
+                seen += 1
+    assert seen > 1000
+
+
+def test_vertex_max_dim_gives_trunk_vertices():
+    for m in _seeded_matrices(62, 40):
+        cx = enumerate_triangulation(m)
+        for i in range(m.rows + 1):
+            from_table = {v for v, k in cx.vertex_max_dim.items() if k >= i}
+            assert from_table == set(cx.trunk(i).vertices()), (m.entries, i)

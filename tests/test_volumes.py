@@ -174,6 +174,12 @@ def test_i_volume_requires_finite_entries() -> None:
         tlvol_i_minus(m, 1)
 
 
+def test_i_volumes_of_a_point_hull_are_none() -> None:
+    # a point's count is constant, so c_1 = 0 and Log 0 = -inf (None)
+    for rows in (((0, 0, 0),), ((3, 3, 3),), ((1, 1), (2, 2))):
+        assert tlvol_i_plus(TropMatrix.from_rows(rows), 1) == (None, None)
+
+
 def test_i_volume_index_bounds() -> None:
     m = fix_l(4)
     for i in (0, 3):
