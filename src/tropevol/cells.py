@@ -12,6 +12,11 @@ bounding box, then walk all increment chains through that set.  Every chain
 is uniquely determined by its vertex set, so the vertex tuple, in chain
 order, is the canonical key and no deduplication is needed.
 
+Any finite integer matrix is accepted.  Chains, lattice points and
+membership all commute with translation by c * (1, ..., 1), so the cells of
+M + c are the cells of M moved by c.  Counting needs entries in Z>=0; that
+rule is enforced in ehrhart, not here.
+
 A cell is its vertex chain and nothing else.  Only from_chain validates a
 chain, for input from outside; enumeration, faces and facets build chains
 that are valid by construction and call the constructor directly.
@@ -39,8 +44,6 @@ def _check_lattice_input(m: TropMatrix) -> None:
         raise ValidationError("triangulation needs finite entries")
     if not m.is_integer():
         raise ValidationError("triangulation needs integer entries")
-    if not m.is_nonnegative():
-        raise ValidationError("triangulation needs nonnegative entries")
 
 
 def bounding_box(m: TropMatrix) -> tuple:

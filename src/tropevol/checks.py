@@ -368,20 +368,21 @@ def suite_ehrhart(seed=0, cases=25) -> SuiteResult:
     for _ in range(cases):
         res.cases += 1
         m = _rand_matrix(rng, lo=0, hi=3, max_rows=2, max_cols=4)
+        complex_ = enumerate_triangulation(m)
         for b in (2, 3):
             poly = tropical_ehrhart_poly(m, b)
-            formula = coeffs_via_formula(m, b)
+            formula = coeffs_via_formula(complex_, b)
             res.check(
                 tuple(poly.coeffs) == tuple(formula),
                 f"interpolation vs formula mismatch on {m.entries} at b={b}",
             )
             d = m.rows
             res.check(
-                formula[d] == c_top_leading(m, b),
+                formula[d] == c_top_leading(complex_, b),
                 f"leading coefficient closed form wrong on {m.entries} at b={b}",
             )
             res.check(
-                formula[d - 1] == c_dminus1_direct(m, b) if d >= 1 else True,
+                formula[d - 1] == c_dminus1_direct(complex_, b) if d >= 1 else True,
                 f"facet-weight c_(d-1) wrong on {m.entries} at b={b}",
             )
             lam = rng.randint(1, 2)
@@ -416,13 +417,13 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
         res.cases += 1
         m = _rand_matrix(rng, lo=0, hi=4, max_rows=3, max_cols=5)
         d = m.rows
+        complex_ = enumerate_triangulation(m)
         sub_val = tlvol_subsets(m)[0]
-        tri_val = tlvol_triangulation(m)[0]
+        tri_val = tlvol_triangulation(complex_)[0]
         res.check(
             sub_val == tri_val,
             f"tlvol subsets {sub_val!r} != triangulation {tri_val!r} on {m.entries}",
         )
-        complex_ = enumerate_triangulation(m)
         bases = (2, 3) if d <= 2 else (2,)
         for b in bases:
             try:
@@ -443,7 +444,7 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
 
 
 def _pure_instances(rng, count):
-    """Pure complexes for reciprocity: alcoves, boxes, and filtered randoms."""
+    """(matrix, complex) pairs for reciprocity: alcoves, boxes, filtered randoms."""
     out = []
     while len(out) < count:
         kind = rng.randint(0, 2)
@@ -461,13 +462,13 @@ def _pure_instances(rng, count):
             )
         else:
             m = _rand_matrix(rng, lo=0, hi=3, max_rows=2, max_cols=4)
-            cx = enumerate_triangulation(m)
-            # Reciprocity needs the polytope to equal its top trunk, so
-            # flat-but-pure draws (paths of segments in the plane) are
-            # redrawn along with the genuinely impure ones.
-            if not cx.is_pure() or cx.dim != m.rows:
-                continue
-        out.append(m)
+        cx = enumerate_triangulation(m)
+        # Reciprocity needs the polytope to equal its top trunk.  Alcoves
+        # and boxes always are; flat-but-pure random draws (paths of
+        # segments in the plane) are redrawn along with impure ones.
+        if not cx.is_pure() or cx.dim != m.rows:
+            continue
+        out.append((m, cx))
     return out
 
 
@@ -548,11 +549,11 @@ def suite_theorems(seed=0, cases=50) -> SuiteResult:
                 f"tropical rank {trk} below top coefficient index {top} "
                 f"on {m.entries} at b={b}",
             )
-    for m in _pure_instances(rng, 12):
+    for m, cx in _pure_instances(rng, 12):
         res.cases += 1
         for b in (2, 3):
             res.check(
-                reciprocity_check(m, b),
+                reciprocity_check(cx, b),
                 f"reciprocity fails on pure {m.entries} at b={b}",
             )
     return res
@@ -594,12 +595,6 @@ def _random_rotation_signed(rng, d, i, plus=True):
     return ScaledPermutationMatrix(tuple(sigma), tuple(z))
 
 
-def _ivol_arg(m: TropMatrix):
-    """m's complex when m is nonnegative, so its i-volume calls share one
-    triangulation; otherwise m, which each call shifts into Z>=0 itself."""
-    return enumerate_triangulation(m) if m.is_nonnegative() else m
-
-
 def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
     res = SuiteResult("volume-properties")
     rng = random.Random(seed)
@@ -610,7 +605,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
         # homogeneity under translation by an integer scalar
         lam = rng.randint(-2, 2)
         shifted = m.translate(lam)
-        cm, cs = _ivol_arg(m), _ivol_arg(shifted)
+        cm, cs = enumerate_triangulation(m), enumerate_triangulation(shifted)
         tlm = tlvol(m, "subsets")
         tls = tlvol(shifted, "subsets")
         if tlm is None:
@@ -643,7 +638,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
                 tlvol(both, "subsets") == tadd(tlvol(part, "subsets"), tlm),
                 f"tlvol idempotency fails for column subset {keep} of {m.entries}",
             )
-            cp = _ivol_arg(part)
+            cp = enumerate_triangulation(part)
             for i in range(1, d + 1):
                 whole = tlvol_i_plus(cm, i)[0]
                 piece = tlvol_i_plus(cp, i)[0]
@@ -664,7 +659,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
                 big_tl is not None and big_tl >= tlm,
                 f"tlvol monotonicity fails when adding columns to {m.entries}",
             )
-        cb = _ivol_arg(bigger)
+        cb = enumerate_triangulation(bigger)
         for i in range(1, d + 1):
             small_i = tlvol_i_plus(cm, i)[0]
             big_i = tlvol_i_plus(cb, i)[0]
@@ -702,7 +697,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
         )
         # plain permutations preserve both i-volumes exactly
         perm = ScaledPermutationMatrix(sp.sigma, (0,) * d)
-        permuted = _ivol_arg(act(perm, m))
+        permuted = enumerate_triangulation(act(perm, m))
         res.check(
             tlvol_i_plus(permuted, i)[0] == a_plus
             and tlvol_i_minus(permuted, i)[0] == a_minus,

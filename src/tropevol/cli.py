@@ -227,15 +227,12 @@ def _cmd_plot(args) -> int:
     fmt = getattr(args, "format", None) or "svg"
     if fmt != "svg":
         raise ValidationError(f"format {fmt!r} does not apply to plots")
-    low = min(min(row) for row in m.entries)
-    shifted = m.translate(-low) if low < 0 else m
-    complex_ = enumerate_triangulation(shifted, cfg.guard)
+    complex_ = enumerate_triangulation(m, cfg.guard)
     if not complex_.cells:
         raise ValidationError("empty cell complex, nothing to draw")
-    back = low if low < 0 else 0
 
-    xs = [v[0] + back for c in complex_.cells for v in c.vertices]
-    ys = [v[1] + back for c in complex_.cells for v in c.vertices]
+    xs = [v[0] for c in complex_.cells for v in c.vertices]
+    ys = [v[1] for c in complex_.cells for v in c.vertices]
     xmin, xmax = min(xs) - 0.5, max(xs) + 0.5
     ymin, ymax = min(ys) - 0.5, max(ys) + 0.5
 
@@ -253,7 +250,7 @@ def _cmd_plot(args) -> int:
         return _svg_xy(x - xmin, y, ymax)
 
     for cell in sorted(complex_.cells, key=lambda c: (-c.dim, c.vertices)):
-        pts = [(v[0] + back, v[1] + back) for v in cell.vertices]
+        pts = cell.vertices
         if cell.dim == 2:
             coords = " ".join(
                 "{:.2f},{:.2f}".format(*place(x, y)) for x, y in pts

@@ -12,6 +12,12 @@ Two counting regimes share one polytope:
 * tropical: the count of b-power lattice points of the tropical dilate k (.) P
   equals the max-times count at t = b**k.
 
+Counting is where entries must lie in Z>=0, because b**e is a lattice count
+only for e >= 0; triangulation itself takes any finite integer matrix.  Every
+function here that reads chain weights gets its complex from
+counting_complex, which checks a matrix before triangulating it and a
+complex by its vertices.
+
 The counting function in t = b**k agrees with a polynomial of degree dim(P);
 its coefficients are recovered two independent ways: exact interpolation from
 raw counts, and a signed, (b-1)-weighted sum of classical Ehrhart coefficients
@@ -41,8 +47,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
 
-from .cells import AlcovedSimplex, CellComplex, as_complex, enumerate_triangulation
-from .core import TropMatrix, check_base, contains, format_entry
+from .cells import AlcovedSimplex, CellComplex, as_complex, lattice_points
+from .core import TropMatrix, check_base, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
 from .ratpoly import lagrange_interpolate, poly_degree, poly_eval
@@ -93,6 +99,19 @@ def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
                 raise ValidationError(
                     f"counting needs entries in Z>=0 (or -inf), got {e!r}"
                 )
+
+
+def counting_complex(arg, guard: int | None = None) -> CellComplex:
+    """The complex of a matrix with entries in Z>=0, or a complex in Z>=0^d.
+
+    A matrix is checked before it is triangulated.  A chain's base point is
+    its coordinatewise minimum, so a complex is checked on its base points.
+    """
+    if isinstance(arg, TropMatrix):
+        _check_counting_matrix(arg, allow_minus_inf=False)
+    elif isinstance(arg, CellComplex) and any(min(c.base) < 0 for c in arg.cells):
+        raise ValidationError("counting needs cell vertices in Z>=0")
+    return as_complex(arg, guard)
 
 
 def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> int:
@@ -196,21 +215,15 @@ def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> i
 
 
 def count_classical_dilate(m: TropMatrix, k: int, guard: int | None = None) -> int:
-    """#(k * P cap Z^d) for the classical dilation of the hull."""
+    """#(k * P cap Z^d) for the classical dilation of the hull.
+
+    k * tconv(M) = tconv(k * M), so this is the lattice point count of k * M.
+    """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     _check_counting_matrix(m, allow_minus_inf=False)
-    guard = resolve_guard(guard)
-    box = [(min(row) * k, max(row) * k) for row in m.entries]
-    candidates = 1
-    for lo, hiv in box:
-        candidates *= hiv - lo + 1
-    check_guard(candidates, guard, "classical dilate scan")
-    total = 0
-    for z in itertools.product(*[range(lo, hiv + 1) for lo, hiv in box]):
-        if contains(m, tuple(Fraction(c, k) for c in z)):
-            total += 1
-    return total
+    dilate = TropMatrix.from_rows([[k * e for e in row] for row in m.entries])
+    return len(lattice_points(dilate, guard))
 
 
 def cell_exponents(cell: AlcovedSimplex) -> tuple:
@@ -291,7 +304,7 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
 def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     """Independent tropical count: sum of open-cell counts over the triangulation."""
     guard = resolve_guard(guard)
-    complex_ = as_complex(arg, guard)
+    complex_ = counting_complex(arg, guard)
     return sum(open_cell_count(c, b, k, guard) for c in complex_.cells)
 
 
@@ -344,14 +357,14 @@ def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     """Assemble c_0..c_d as signed, (b-1)-weighted sums over all cells."""
     check_base(b)
     guard = resolve_guard(guard)
-    complex_ = as_complex(arg, guard)
+    complex_ = counting_complex(arg, guard)
     return _formula_sum(complex_.cells, complex_.ambient_dim, b, guard)
 
 
 def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
     """Leading coefficient c_d, closed form: (b-1)^d * sum of full-cell rvols."""
     check_base(b)
-    complex_ = as_complex(arg, resolve_guard(guard))
+    complex_ = counting_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
     total = Fraction(0)
     for cell in complex_.cells_of_dim(d):
@@ -375,7 +388,7 @@ def weighted_facets(complex_: CellComplex) -> Iterator[tuple]:
 def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
     """Second-highest coefficient: sum of delta * (b-1)**(d-1) * rvol over facets."""
     check_base(b)
-    complex_ = as_complex(arg, resolve_guard(guard))
+    complex_ = counting_complex(arg, resolve_guard(guard))
     scale = Fraction(b - 1) ** (complex_.ambient_dim - 1)
     return sum(
         (delta * scale * cell_rvol(cell, b) for delta, cell in weighted_facets(complex_)),
@@ -423,7 +436,7 @@ def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     """The formula sum restricted to cells away from the support boundary."""
     check_base(b)
     guard = resolve_guard(guard)
-    complex_ = as_complex(arg, guard)
+    complex_ = counting_complex(arg, guard)
     return _formula_sum(complex_.interior_cells(), complex_.ambient_dim, b, guard)
 
 
@@ -437,7 +450,7 @@ def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:
     vertex, so such inputs are rejected rather than reported as False.
     """
     guard = resolve_guard(guard)
-    complex_ = as_complex(arg, guard)
+    complex_ = counting_complex(arg, guard)
     if not complex_.is_pure() or complex_.dim != complex_.ambient_dim:
         raise ValidationError(
             "reciprocity needs a pure complex of full dimension"
@@ -486,7 +499,7 @@ def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
     i = 0 is the Euler characteristic, the top two indices have closed forms,
     anything in between falls back to the per-cell interpolation formula.
     """
-    complex_ = as_complex(arg, resolve_guard(guard))
+    complex_ = counting_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
     if not 0 <= i <= d:
         raise ValidationError(f"coefficient index {i} out of range")
@@ -502,7 +515,7 @@ def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
 def log_coefficient(m: TropMatrix, i: int, guard: int | None = None) -> Optional[int]:
     """Log of the i-th coefficient: its degree as a polynomial in b."""
     guard = resolve_guard(guard)
-    complex_ = enumerate_triangulation(m, guard)
+    complex_ = counting_complex(m, guard)
     bound = log_degree_bound(m)
     samples = [
         (b, coefficient_in_b(complex_, i, b, guard)) for b in range(2, bound + 3)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core import Entry, TropMatrix, tmul, tsum
+from .core import Entry, TropMatrix, tadd, tsum
 from .errors import ValidationError
 
 BRUTE_LIMIT = 8  # permutation enumerations refuse anything larger
@@ -124,21 +124,29 @@ def tdet(a: TropMatrix) -> AssignmentResult:
     return AssignmentResult(value, sigma, tuple(-x for x in u), tuple(-x for x in v))
 
 
-def tdet_brute(a: TropMatrix) -> Entry:
-    """Oracle: direct permutation expansion (n <= BRUTE_LIMIT)."""
+def _expansion_terms(a: TropMatrix, what: str) -> Iterator[tuple]:
+    """(sigma, sum of A[i][sigma(i)]) for each permutation whose term is finite.
+
+    A term is abandoned at its first -inf entry.  Square matrices up to
+    BRUTE_LIMIT only; `what` names the caller in the refusal message.
+    """
     n = _require_square(a)
     if n > BRUTE_LIMIT:
-        raise ValidationError(f"brute determinant limited to n <= {BRUTE_LIMIT}")
-    best: Entry = None
+        raise ValidationError(f"{what} limited to n <= {BRUTE_LIMIT}")
+    rows = a.entries
     for sigma in permutations(range(n)):
-        term: Entry = 0
-        for i in range(n):
-            term = tmul(term, a.entries[i][sigma[i]])
-            if term is None:
+        term = 0
+        for row, j in zip(rows, sigma):
+            if row[j] is None:
                 break
-        if term is not None and (best is None or term > best):
-            best = term
-    return best
+            term += row[j]
+        else:
+            yield sigma, term
+
+
+def tdet_brute(a: TropMatrix) -> Entry:
+    """Oracle: direct permutation expansion (n <= BRUTE_LIMIT)."""
+    return tsum(term for _, term in _expansion_terms(a, "brute determinant"))
 
 
 def tdet_second(a: TropMatrix) -> Entry:
@@ -147,19 +155,9 @@ def tdet_second(a: TropMatrix) -> Entry:
     Ties at the top mean the second value equals the top value.  -inf when at
     most one permutation has a finite expansion term.
     """
-    n = _require_square(a)
-    if n > BRUTE_LIMIT:
-        raise ValidationError(f"second-best value limited to n <= {BRUTE_LIMIT}")
     best: Entry = None
     second: Entry = None
-    for sigma in permutations(range(n)):
-        term: Entry = 0
-        for i in range(n):
-            term = tmul(term, a.entries[i][sigma[i]])
-            if term is None:
-                break
-        if term is None:
-            continue
+    for _, term in _expansion_terms(a, "second-best value"):
         if best is None or term > best:
             second = best
             best = term
@@ -177,25 +175,11 @@ class Bideterminant:
 
 
 def bideterminant(a: TropMatrix) -> Bideterminant:
-    n = _require_square(a)
-    if n > BRUTE_LIMIT:
-        raise ValidationError(f"bideterminant limited to n <= {BRUTE_LIMIT}")
-    plus: Entry = None
-    minus: Entry = None
-    for sigma in permutations(range(n)):
-        term: Entry = 0
+    halves: list = [None, None]  # best even term, best odd term
+    for sigma, term in _expansion_terms(a, "bideterminant"):
         parity = _parity(sigma)
-        for i in range(n):
-            term = tmul(term, a.entries[i][sigma[i]])
-            if term is None:
-                break
-        if term is None:
-            continue
-        if parity == 0:
-            plus = tsum([plus, term])
-        else:
-            minus = tsum([minus, term])
-    return Bideterminant(plus, minus)
+        halves[parity] = tadd(halves[parity], term)
+    return Bideterminant(*halves)
 
 
 def _parity(sigma: Sequence[int]) -> int:
@@ -274,25 +258,15 @@ def is_nonsingular(a: TropMatrix) -> bool:
 
 def is_nonsingular_brute(a: TropMatrix) -> bool:
     """Oracle for is_nonsingular via full enumeration."""
-    n = _require_square(a)
-    if n > BRUTE_LIMIT:
-        raise ValidationError(f"brute nonsingularity limited to n <= {BRUTE_LIMIT}")
     best: Entry = None
     count = 0
-    for sigma in permutations(range(n)):
-        term: Entry = 0
-        for i in range(n):
-            term = tmul(term, a.entries[i][sigma[i]])
-            if term is None:
-                break
-        if term is None:
-            continue
+    for _, term in _expansion_terms(a, "brute nonsingularity"):
         if best is None or term > best:
             best = term
             count = 1
         elif term == best:
             count += 1
-    return best is not None and count == 1
+    return count == 1
 
 
 UNIQUE_GAP = "unique"  # marker value when no second finite permutation exists

@@ -21,6 +21,8 @@ delta_F in {0, 1/2, 1} (a facet of at most two d-cells) and e_F the sum of
 F's chain weight exponents.  No term is negative, so nothing cancels and
 the degree is d - 1 plus the largest e_F with delta_F nonzero.  A report
 triangulates its matrix once and reads every functional off that complex.
+The triangulation and the i-volumes take any finite integer matrix as it
+is; only the discrete surface, a count, needs entries in Z>=0.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 
 from .cells import CellComplex, as_complex
 from .core import Entry, TropMatrix, format_entry, max_subset_sum, min_subset_sum, tsum
-from .ehrhart import cell_exponents, weighted_facets
+from .ehrhart import cell_exponents, counting_complex, weighted_facets
 from .errors import CrossCheckError, ValidationError
 from .linalg import (
     UNIQUE_GAP,
@@ -144,26 +146,8 @@ def _tlvol_both(m: TropMatrix, complex_: CellComplex):
     return a, witness
 
 
-def _ivol_complex(arg, guard):
-    """Complex plus the translation that was applied to reach Z>=0 entries.
-
-    The i-volumes are only treated for finite entries; negative integers are
-    shifted into range and the result is corrected by homogeneity
-    (tlvol_i of the translate by s differs by exactly s*i).
-    """
-    shift = 0
-    if isinstance(arg, TropMatrix):
-        if not arg.is_finite():
-            raise ValidationError(
-                "i-volumes are only defined here for finite entries"
-            )
-        shift = max(0, -min(min(row) for row in arg.entries))
-        arg = arg.translate(shift)
-    return as_complex(arg, guard), shift
-
-
-def _trunk_max(complex_: CellComplex, shift: int, i: int, key: Callable):
-    """(max of key(v, i) over the i-trunk vertices, witness), both shifted back.
+def _trunk_max(complex_: CellComplex, i: int, key: Callable):
+    """(max of key(v, i) over the i-trunk vertices, witness).
 
     The i-trunk vertices are the vertices of a cell of dimension >= i, read
     off the complex's vertex_max_dim table.  The witness is the first strict
@@ -180,19 +164,17 @@ def _trunk_max(complex_: CellComplex, shift: int, i: int, key: Callable):
         if best is None or val > best:
             best = val
             witness = v
-    if best is None:
-        return None, None
-    return best - i * shift, tuple(c - shift for c in witness)
+    return best, witness
 
 
 def tlvol_i_plus(arg, i: int, guard: int | None = None):
     """(upper barycentric i-volume, witness vertex): best i largest coordinates."""
-    return _trunk_max(*_ivol_complex(arg, guard), i, max_subset_sum)
+    return _trunk_max(as_complex(arg, guard), i, max_subset_sum)
 
 
 def tlvol_i_minus(arg, i: int, guard: int | None = None):
     """(lower barycentric i-volume, witness vertex): best i smallest coordinates."""
-    return _trunk_max(*_ivol_complex(arg, guard), i, min_subset_sum)
+    return _trunk_max(as_complex(arg, guard), i, min_subset_sum)
 
 
 def qtvol_plus(m: TropMatrix):
@@ -218,19 +200,19 @@ def cartesian_product(m: TropMatrix, n: TropMatrix) -> TropMatrix:
 
 def tlsurf(arg, guard: int | None = None) -> tuple:
     """(lower, upper) tropical surface area: the (d-1)-volumes."""
-    complex_, shift = _ivol_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
     d = complex_.ambient_dim
     if d - 1 < 1:
         raise ValidationError("surface areas need dimension at least 2")
     return (
-        _trunk_max(complex_, shift, d - 1, min_subset_sum)[0],
-        _trunk_max(complex_, shift, d - 1, max_subset_sum)[0],
+        _trunk_max(complex_, d - 1, min_subset_sum)[0],
+        _trunk_max(complex_, d - 1, max_subset_sum)[0],
     )
 
 
 def discrete_surface(arg, guard: int | None = None) -> Optional[int]:
     """Log c_{d-1} from the facet weights (module docstring); None if c_{d-1} = 0."""
-    complex_ = as_complex(arg, guard)
+    complex_ = counting_complex(arg, guard)
     exps = [sum(cell_exponents(cell)) for _, cell in weighted_facets(complex_)]
     return complex_.ambient_dim - 1 + max(exps) if exps else None
 
@@ -318,19 +300,19 @@ def build_volume_report(
     if m.rows == m.cols:
         tv = tvol_square(m)
         tv_w = tuple(range(m.cols))
-    else:
+    elif m.cols > m.rows:
         tv, tv_w = tvol_max_sub(m)
+    else:
+        tv, tv_w = None, None
     ivols = None
     surface = None
     if m.is_finite() and m.is_integer():
-        # a complex built above is of a nonnegative matrix: shift 0
-        shift = 0
         if complex_ is None:
-            complex_, shift = _ivol_complex(m, guard)
+            complex_ = as_complex(m, guard)
         ivols = {}
         for i in range(1, m.rows + 1):
-            pv, pw = _trunk_max(complex_, shift, i, max_subset_sum)
-            mv, mw = _trunk_max(complex_, shift, i, min_subset_sum)
+            pv, pw = _trunk_max(complex_, i, max_subset_sum)
+            mv, mw = _trunk_max(complex_, i, min_subset_sum)
             ivols[i] = {
                 "plus": pv,
                 "plus_witness": pw,

@@ -71,7 +71,9 @@ def test_bounding_box_requires_lattice_input():
     with pytest.raises(ValidationError):
         bounding_box(cube(2))  # -inf entries
     with pytest.raises(ValidationError):
-        bounding_box(TropMatrix.from_rows([[0, -1], [0, 0]]))  # negative
+        bounding_box(TropMatrix.from_rows([[0, Fraction(1, 2)], [0, 0]]))  # not integer
+    # negative entries are lattice input; counting rejects them (test_ehrhart)
+    assert bounding_box(TropMatrix.from_rows([[0, -1], [0, 0]])) == ((-1, 0), (0, 0))
 
 
 def test_triangle_complex_structure():
@@ -168,14 +170,53 @@ def test_triangulation_guard():
         enumerate_triangulation(fix_l(4), guard=2)
 
 
-def _seeded_matrices(seed, count):
+def _seeded_matrices(seed, count, lo=0, hi=3):
     rng = random.Random(seed)
     for _ in range(count):
         d = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         yield TropMatrix.from_rows(
-            [[rng.randint(0, 3) for _ in range(cols)] for _ in range(d)]
+            [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(d)]
         )
+
+
+def _moved(vertices, c):
+    return tuple(tuple(x + c for x in v) for v in vertices)
+
+
+def _chains(cells):
+    return [cell.vertices for cell in cells]
+
+
+def test_triangulation_is_translation_equivariant():
+    # the cells of M + c are those of M moved by c, and so is every
+    # structure read off the complex
+    for m in _seeded_matrices(63, 30, lo=-2, hi=2):
+        cx = enumerate_triangulation(m)
+        labels = cx.labels()
+        for c in range(-3, 4):
+            moved = enumerate_triangulation(m.translate(c))
+            assert _chains(moved.cells) == [_moved(vs, c) for vs in _chains(cx.cells)]
+            assert moved.facet_cover_count == {
+                _moved(vs, c): n for vs, n in cx.facet_cover_count.items()
+            }
+            assert {cell.vertices: lab for cell, lab in moved.labels().items()} == {
+                _moved(cell.vertices, c): lab for cell, lab in labels.items()
+            }
+            for i in range(m.rows + 1):
+                assert _chains(moved.trunk(i).cells) == [
+                    _moved(vs, c) for vs in _chains(cx.trunk(i).cells)
+                ]
+
+
+def test_triangulation_matches_brute_force_with_negative_entries():
+    negative = 0
+    for m in _seeded_matrices(64, 30, lo=-3, hi=1):
+        negative += not m.is_nonnegative()
+        fast = enumerate_triangulation(m)
+        brute = enumerate_triangulation_brute(m)
+        assert fast.cells == brute.cells, m.entries
+    assert negative >= 15
 
 
 def test_cell_is_only_its_vertex_chain():

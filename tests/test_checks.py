@@ -64,10 +64,9 @@ def test_conjecture_suite_reports_warnings_not_failures() -> None:
 def test_volume_properties_triangulates_each_matrix_once(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # Per case at most: the matrix, its nonnegative translate, the column
-    # subset, the extended matrix, the permuted copy and the two signed
-    # rotations once each, plus a translate with negative entries once per i
-    # (at most 3 rows).  Before the complexes were shared: 237 on 10 cases.
+    # Per case at most: the matrix, its translate, the column subset, the
+    # extended matrix, the permuted copy and the two signed rotations once
+    # each.  Before the complexes were shared: 237 on 10 cases.
     calls = []
     original = cells.enumerate_triangulation
 
@@ -80,6 +79,35 @@ def test_volume_properties_triangulates_each_matrix_once(
     result = run_suites(names=["volume-properties"], seed=0, cases=10)[0]
     assert result.passed
     assert len(calls) <= 9 * result.cases
+
+
+@pytest.mark.parametrize(
+    "name, per_case",
+    [
+        # the matrix, plus its translates at b = 2 and b = 3 (before: 8)
+        ("ehrhart", 3),
+        # the matrix, shared by both tlvol routes and the cell count (before: 2)
+        ("cross-volume", 1),
+        # one complex per instance, plus the reciprocity sampler's redraws
+        # of impure random matrices (before: 44 on 27 cases)
+        ("theorems", 1.2),
+    ],
+)
+def test_counting_suites_triangulate_each_matrix_once(
+    monkeypatch: pytest.MonkeyPatch, name: str, per_case: float
+) -> None:
+    calls = []
+    original = cells.enumerate_triangulation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cells, "enumerate_triangulation", counting)
+    monkeypatch.setattr(checks, "enumerate_triangulation", counting)
+    result = run_suites(names=[name], seed=0, cases=10)[0]
+    assert result.passed
+    assert len(calls) <= per_case * result.cases
 
 
 @pytest.mark.parametrize("seed", [2, 3])

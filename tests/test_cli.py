@@ -154,6 +154,33 @@ def test_volume_from_input_file(tmp_path: Path) -> None:
     assert proc.stdout == reference.stdout
 
 
+@pytest.mark.parametrize(
+    "rows, entries", [(3, [[0, 1], [1, 0], [2, 2]]), (2, [[0], [1]])]
+)
+def test_volume_with_fewer_columns_than_rows(
+    tmp_path: Path, rows: int, entries: list
+) -> None:
+    source = tmp_path / "wide.json"
+    source.write_text(
+        json.dumps({"rows": rows, "cols": len(entries[0]), "entries": entries})
+    )
+    proc = _run("volume", "--input", str(source))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["tvol"] == "-inf"
+    assert data["tvol_witness"] is None
+    assert data["qtvol_plus"] == "-inf"
+
+
+def test_volume_triangulates_negative_entries() -> None:
+    subsets = _run("volume", "--fixture", "DELTA2")
+    for method in ("triangulation", "both"):
+        proc = _run("volume", "--fixture", "DELTA2", "--method", method)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["tlvol"] == json.loads(subsets.stdout)["tlvol"]
+    assert proc.stdout == subsets.stdout
+
+
 def test_ehrhart_l_shape_golden_bytes() -> None:
     proc = _run("ehrhart", "--fixture", "L", "--l", "4", "--b", "2", "--kmax", "3")
     assert proc.returncode == 0

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropevol import ehrhart
+from tropevol import cells, ehrhart
 from tropevol.cells import AlcovedSimplex, enumerate_triangulation
-from tropevol.core import TropMatrix
+from tropevol.core import TropMatrix, contains
 from tropevol.ehrhart import (
     _chain_count,
     c_dminus1_direct,
@@ -45,7 +45,7 @@ from tropevol.fixtures import (
     fix_tri,
 )
 from tropevol.ratpoly import lagrange_interpolate, poly_eval
-from tropevol.volumes import cartesian_product
+from tropevol.volumes import cartesian_product, discrete_surface
 
 
 # Frozen count tables for the triangle-with-tail shape, length parameter 4.
@@ -137,6 +137,21 @@ def test_classical_dilate_counts():
         assert count_classical_dilate(m, k) == (k + 1) * (k + 2) // 2
 
 
+def test_classical_dilate_matches_scan_of_the_dilated_box():
+    # oracle: test z / k for membership in P over the box of k * P
+    rng = random.Random(1909)
+    for _ in range(60):
+        d, n, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        m = TropMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(d)])
+        box = [range(k * min(row), k * max(row) + 1) for row in m.entries]
+        expected = sum(
+            contains(m, tuple(Fraction(c, k) for c in z)) for z in itertools.product(*box)
+        )
+        assert count_classical_dilate(m, k) == expected, (m.entries, k)
+    with pytest.raises(GuardExceeded, match="bounding box scan"):
+        count_classical_dilate(fix_l(4), 2, guard=10)
+
+
 def test_scaled_cell_polynomial():
     # diagonal unit cell based at (1,1): after base-2 coordinate scaling the
     # segment runs to (2t, 2t) and carries 2t + 1 lattice points
@@ -193,6 +208,37 @@ def test_reciprocity_rejects_flat_pure_complexes():
     tree = TropMatrix(((3, 2, 3, 1), (2, 0, 2, 1)))
     with pytest.raises(ValidationError):
         reciprocity_check(tree, 2)
+
+
+COUNTING_CALLS = {
+    "count_via_cells": lambda arg: count_via_cells(arg, 2, 1),
+    "coeffs_via_formula": lambda arg: coeffs_via_formula(arg, 2),
+    "interior_coeffs_via_formula": lambda arg: interior_coeffs_via_formula(arg, 2),
+    "c_top_leading": lambda arg: c_top_leading(arg, 2),
+    "c_dminus1_direct": lambda arg: c_dminus1_direct(arg, 2),
+    "reciprocity_check": lambda arg: reciprocity_check(arg, 2),
+    "coefficient_in_b": lambda arg: coefficient_in_b(arg, 1, 2),
+    "log_coefficient": lambda arg: log_coefficient(arg, 1),
+    "discrete_surface": discrete_surface,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_CALLS))
+def test_counting_rejects_negative_entries_before_triangulating(
+    monkeypatch: pytest.MonkeyPatch, name: str
+) -> None:
+    # b**e counts lattice points only for e >= 0: triangulation accepts the
+    # negative DELTA2 fixture, every chain-weight reader refuses it
+    m = fix_delta2()
+    complex_ = enumerate_triangulation(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("triangulated before the Z>=0 check")
+
+    monkeypatch.setattr(cells, "enumerate_triangulation", refuse)
+    for arg in (m, complex_):
+        with pytest.raises(ValidationError, match="Z>=0"):
+            COUNTING_CALLS[name](arg)
 
 
 def test_log_map():

@@ -368,6 +368,40 @@ def test_lower_i_volume_matches_lp_oracle_on_random_matrices() -> None:
     assert cases >= 200
 
 
+def _seeded_negative_matrices(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        cols = rng.randint(d, d + 2)
+        yield TropMatrix.from_rows(
+            [[rng.randint(-4, 3) for _ in range(cols)] for _ in range(d)]
+        )
+
+
+def test_i_volumes_of_negative_entries_match_the_moved_back_translate() -> None:
+    negative = 0
+    for m in _seeded_negative_matrices(1907, 60):
+        shift = max(0, -min(min(row) for row in m.entries))
+        negative += shift > 0
+        nonneg = enumerate_triangulation(m.translate(shift))
+        for i in range(1, m.rows + 1):
+            for f in (tlvol_i_plus, tlvol_i_minus):
+                value, witness = f(nonneg, i)
+                expected = (None, None)
+                if value is not None:
+                    expected = (value - i * shift, tuple(x - shift for x in witness))
+                assert f(m, i) == expected, (m.entries, i, f.__name__)
+    assert negative >= 40
+
+
+def test_tlvol_routes_agree_on_negative_entries() -> None:
+    negative = 0
+    for m in _seeded_negative_matrices(1908, 60):
+        negative += not m.is_nonnegative()
+        assert tlvol_triangulation(m)[0] == tlvol_subsets(m)[0], m.entries
+    assert negative >= 40
+
+
 def test_i_volume_witness_is_first_maximizer_in_sorted_order() -> None:
     # The segment from (0,0) to (0,1): both vertices have smallest
     # coordinate 0, the sorted-first one is the witness.
