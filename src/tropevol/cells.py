@@ -7,8 +7,9 @@ v_m - v_0 is itself a 0/1 vector).  Closed alcoved cells are simultaneously
 classically convex and tropically convex, and equal the tropical hull of
 their vertex chain; since tropical polytopes are tropically convex and
 closed, an open cell lies inside a hull P iff all its chain vertices do.
-Enumeration therefore reduces to: collect the lattice points of P inside its
-bounding box, then walk all increment chains through that set.  Every chain
+Enumeration therefore reduces to: collect the lattice points of P, one
+axis-parallel fibre at a time, each an interval with closed-form ends (see
+lattice_points), then walk all increment chains through that set.  Every chain
 is uniquely determined by its vertex set, so the vertex tuple, in chain
 order, is the canonical key and no deduplication is needed.
 
@@ -152,18 +153,64 @@ class AlcovedSimplex:
 
 
 def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
-    """All integer points of the hull, found by scanning the bounding box."""
+    """All integer points of the hull, one axis-parallel fibre at a time.
+
+    x is in the hull iff capping its residuation coefficients
+    lam_j = min_k (x_k - M_kj) at 0 recomposes x and some lam_j >= 0 (see
+    core.contains).  Each capped term min(lam_j, 0) + M_ij is at most x_i,
+    so row i recomposes iff some j has lam_j = x_i - M_ij <= 0.
+
+    Fix every coordinate but x_a = s, with a the longest box axis (the first
+    on ties), and let c_j = min over k != a of x_k - M_kj (+inf with one
+    row), so lam_j = min(c_j, s - M_aj).  Then:
+
+    * row a recomposes iff s - M_aj <= c_j and s <= M_aj for some j:
+      s <= hi = max_j min(c_j + M_aj, M_aj);
+    * row i != a recomposes iff some j has x_i <= M_ij, c_j = x_i - M_ij
+      and s - M_aj >= c_j: s >= the least such c_j + M_aj, and the fibre
+      is empty if there is no such j;
+    * some lam_j >= 0 iff some j has c_j >= 0 and s >= M_aj: s >= the least
+      M_aj over the j with c_j >= 0.
+
+    So the fibre is range(lo, hi + 1), lo the largest lower bound.  It is
+    never below the box, as lo >= min_j M_aj.  Fibres of a tropical polytope
+    along an axis are intervals (Develin and Sturmfels, *Tropical
+    convexity*, 2004).  The other coordinates are fixed one at a time in
+    nested loops that carry the prefix minima of c.  The first and third
+    conditions, read for the coordinate x_k being fixed instead of s, bound
+    it to [least M_kj over c_j >= 0, max_j min(c_j + M_kj, M_kj)], and both
+    ends only tighten as later coordinates lower c, so the loops skip what
+    no fibre can use.  The guard is charged the whole box up front.
+    """
     guard = resolve_guard(guard)
     box = bounding_box(m)
     size = 1
     for lo, hi in box:
         size *= hi - lo + 1
     check_guard(size, guard, "bounding box scan")
+    rows = m.entries
+    a = max(range(m.rows), key=lambda i: box[i][1] - box[i][0])
+    others = [i for i in range(m.rows) if i != a]
+    order = others + [a]
     pts = set()
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    for p in itertools.product(*ranges):
-        if contains(m, p):
-            pts.add(p)
+
+    def sweep(c, xs):
+        row = rows[order[len(xs)]]
+        hi = max(min(cj + e, e) for cj, e in zip(c, row))
+        lo = min((e for cj, e in zip(c, row) if cj >= 0), default=hi + 1)
+        if len(xs) < len(others):
+            for xk in range(lo, hi + 1):
+                sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
+            return
+        for i, xi in zip(others, xs):
+            lo = max(lo, min(
+                (cj + e for cj, e, mij in zip(c, row, rows[i]) if cj == xi - mij <= 0),
+                default=hi + 1,
+            ))
+        head, tail = xs[:a], xs[a:]
+        pts.update(head + (s,) + tail for s in range(lo, hi + 1))
+
+    sweep([float("inf")] * m.cols, ())
     return pts
 
 

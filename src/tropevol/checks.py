@@ -714,7 +714,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
         )
         # leading coefficient degree equals tlvol
         if m.is_nonnegative():
-            bound = log_degree_bound(m)
+            bound = log_degree_bound(cm)
             samples = [
                 (b, c_top_leading(cm, b)) for b in range(2, bound + 3)
             ]
@@ -736,8 +736,9 @@ def suite_conjecture(seed=0, cases=40) -> SuiteResult:
         instances.append(_rand_matrix(rng, lo=0, hi=4, max_rows=2, max_cols=4))
     for m in instances:
         res.cases += 1
+        complex_ = enumerate_triangulation(m)
         for i in range(1, m.rows + 1):
-            lc = log_coefficient(m, i)
+            lc = log_coefficient(complex_, i)
             if lc is None:
                 continue
             tm = tminor(m, i)[0]

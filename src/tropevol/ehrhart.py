@@ -96,9 +96,8 @@ def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
                     )
                 continue
             if not isinstance(e, int) or e < 0:
-                raise ValidationError(
-                    f"counting needs entries in Z>=0 (or -inf), got {e!r}"
-                )
+                accepted = "Z>=0 (or -inf)" if allow_minus_inf else "Z>=0"
+                raise ValidationError(f"counting needs entries in {accepted}, got {e!r}")
 
 
 def counting_complex(arg, guard: int | None = None) -> CellComplex:
@@ -487,10 +486,18 @@ def log_map(samples: Sequence[tuple], degree_bound: int) -> Optional[int]:
     return None if deg < 0 else deg
 
 
-def log_degree_bound(m: TropMatrix) -> int:
-    """Degree of any c_i in b is at most d * (1 + max entry)."""
-    top = m.max_entry()
-    return m.rows * (1 + (top if top is not None else 0))
+def log_degree_bound(arg) -> int:
+    """Degree of any c_i in b is at most d * (1 + max entry).
+
+    Takes a matrix or its counting complex.  Every generator is a vertex of
+    the complex and no hull coordinate exceeds the largest entry, so the max
+    entry is the largest vertex coordinate.
+    """
+    if isinstance(arg, TropMatrix):
+        top = arg.max_entry()
+        return arg.rows * (1 + (top if top is not None else 0))
+    top = max((max(v) for v in arg.vertices()), default=0)
+    return arg.ambient_dim * (1 + top)
 
 
 def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
@@ -512,11 +519,11 @@ def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
     return coeffs_via_formula(complex_, b, guard)[i]
 
 
-def log_coefficient(m: TropMatrix, i: int, guard: int | None = None) -> Optional[int]:
-    """Log of the i-th coefficient: its degree as a polynomial in b."""
+def log_coefficient(arg, i: int, guard: int | None = None) -> Optional[int]:
+    """Log of the i-th coefficient of a matrix or its counting complex: its degree in b."""
     guard = resolve_guard(guard)
-    complex_ = counting_complex(m, guard)
-    bound = log_degree_bound(m)
+    complex_ = counting_complex(arg, guard)
+    bound = log_degree_bound(complex_)
     samples = [
         (b, coefficient_in_b(complex_, i, b, guard)) for b in range(2, bound + 3)
     ]

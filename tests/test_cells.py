@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,16 @@ from tropevol.cells import (
 )
 from tropevol.core import TropMatrix, contains
 from tropevol.errors import GuardExceeded, ValidationError
-from tropevol.fixtures import alcove_simplex, cube, fix_l, fix_tri
+from tropevol.fixtures import (
+    alcove_simplex,
+    cube,
+    fix_4d,
+    fix_delta2,
+    fix_l,
+    fix_prod,
+    fix_tri,
+)
+from tropevol.volumes import cartesian_product
 
 
 def test_alcoved_simplex_from_chain():
@@ -63,8 +73,62 @@ def test_lattice_points_small_triangle():
 
 
 def test_lattice_points_respect_guard():
-    with pytest.raises(GuardExceeded):
+    # the whole 4 x 4 bounding box is charged up front, before any fibre
+    with pytest.raises(GuardExceeded, match="^bounding box scan needs about 16 steps, guard is 3$"):
         lattice_points(fix_l(4), guard=3)
+    assert lattice_points(fix_l(4), guard=16) == _lattice_points_box(fix_l(4))
+    with pytest.raises(GuardExceeded, match="bounding box scan"):
+        lattice_points(fix_l(4), guard=15)
+
+
+def _lattice_points_box(m):
+    """Oracle: every point of the bounding box, tested one at a time."""
+    box = bounding_box(m)
+    ranges = [range(lo, hi + 1) for lo, hi in box]
+    return {p for p in itertools.product(*ranges) if contains(m, p)}
+
+
+def _window_matrix(rng, d, n):
+    """A d x n matrix with entries in a window of [-4, 15] small enough that
+    the oracle's bounding box holds at most about 2,000 points."""
+    span = rng.randint(0, min(19, round(2000 ** (1 / d)) - 1))
+    lo = rng.randint(-4, 15 - span)
+    return TropMatrix.from_rows(
+        [[rng.randint(lo, lo + span) for _ in range(n)] for _ in range(d)]
+    )
+
+
+def _reference_4x6(seed):
+    rng = random.Random(seed)
+    return TropMatrix.from_rows([[rng.randint(0, 15) for _ in range(6)] for _ in range(4)])
+
+
+def _fibre_cases():
+    rng = random.Random(1908)
+    for _ in range(150):
+        m = _window_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
+        cols = [m.column(j) for j in range(m.cols)]
+        yield m
+        yield TropMatrix.from_columns(cols + rng.choices(cols, k=rng.randint(1, 3)))
+        yield TropMatrix.from_columns([rng.choice(cols)] * rng.randint(1, 3))  # a point
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        yield _window_matrix(rng, d, rng.randint(1, d - 1))  # fewer columns than rows
+    fixed = [fix_l(2), fix_l(4), fix_l(5), fix_tri(3, 0), fix_tri(3, 2), fix_4d(),
+             fix_delta2(), alcove_simplex((1, 2)), alcove_simplex((0, 3, 1)),
+             cartesian_product(*fix_prod(3))]
+    yield from fixed + [_reference_4x6(seed) for seed in (2, 3, 4)]
+
+
+def test_lattice_points_match_box_scan_oracle():
+    seen = {"negative": 0, "four rows": 0, "point": 0}
+    for m in _fibre_cases():
+        pts = lattice_points(m)
+        assert pts == _lattice_points_box(m), m.entries
+        seen["negative"] += not m.is_nonnegative()
+        seen["four rows"] += m.rows == 4
+        seen["point"] += len(pts) == 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_bounding_box_requires_lattice_input():

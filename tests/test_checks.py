@@ -91,6 +91,8 @@ def test_volume_properties_triangulates_each_matrix_once(
         # one complex per instance, plus the reciprocity sampler's redraws
         # of impure random matrices (before: 44 on 27 cases)
         ("theorems", 1.2),
+        # one complex per instance, shared by every Log c_i (before: one per row)
+        ("conjecture", 1),
     ],
 )
 def test_counting_suites_triangulate_each_matrix_once(

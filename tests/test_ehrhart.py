@@ -92,6 +92,23 @@ def test_count_validation():
         count_tropical(fix_l(4), 2, 5, guard=10)
 
 
+def test_counting_error_names_only_the_accepted_entries():
+    negative = TropMatrix.from_rows([[0, -1], [0, 0]])
+    # the max-times count takes -inf entries, so its message offers them
+    with pytest.raises(ValidationError) as info:
+        count_maxtimes(negative, 2, 1)
+    assert str(info.value) == "counting needs entries in Z>=0 (or -inf), got -1"
+    # the chain-weight readers refuse -inf, so theirs must not
+    for call in (
+        lambda: count_classical_dilate(negative, 1),
+        lambda: tropical_ehrhart_poly(negative, 2),
+        lambda: coeffs_via_formula(fix_delta2(), 2),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == "counting needs entries in Z>=0, got -1"
+
+
 def test_polynomial_interpolation_frozen_values():
     m = fix_l(4)
     for b, coeffs in L4_COEFFS.items():
@@ -286,9 +303,14 @@ def test_lagrange_interpolate_rejects_duplicate_nodes():
         lagrange_interpolate([(Fraction(4, 2), 0), (2, 0)])
 
 
-def test_log_degree_bound():
+def test_log_degree_bound(monkeypatch):
     m = fix_l(4)
     assert log_degree_bound(m) >= 2 * (1 + 3)
+    # a matrix's bound is read off its entries, whatever they are, and
+    # nothing is triangulated
+    monkeypatch.setattr(cells, "enumerate_triangulation", None)
+    assert log_degree_bound(TropMatrix.from_rows([[0, -1], [2, 0]])) == 2 * (1 + 2)
+    assert log_degree_bound(TropMatrix.from_rows([[-1, None], [0, 1]])) == 2 * (1 + 1)
 
 
 def test_log_coefficients_frozen():
@@ -298,6 +320,24 @@ def test_log_coefficients_frozen():
     assert log_coefficient(fix_l(4), 1) == 3
     assert log_coefficient(fix_tri(3, 0), 0) == 0
     assert log_coefficient(fix_tri(3, 0), 2) == 4
+
+
+def test_log_coefficient_of_a_matrix_equals_that_of_its_complex():
+    # the degree bound is read off the largest vertex coordinate of the
+    # complex, which is the max entry of the matrix
+    rng = random.Random(1910)
+    seeded = []
+    for _ in range(12):
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        seeded.append(
+            TropMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(d)])
+        )
+    fixtures = [fix_l(3), fix_l(4), fix_tri(3, 0), fix_tri(3, 2), alcove_simplex((1, 2))]
+    for m in fixtures + seeded:
+        cx = enumerate_triangulation(m)
+        assert log_degree_bound(cx) == log_degree_bound(m) == m.rows * (1 + m.max_entry())
+        for i in range(m.rows + 1):
+            assert log_coefficient(cx, i) == log_coefficient(m, i), (m.entries, i)
 
 
 def test_ehrhart_report_shape():
