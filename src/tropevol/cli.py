@@ -9,6 +9,7 @@ strings and minus infinity as "-inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -324,7 +325,9 @@ def _add_common(p: argparse.ArgumentParser, formats) -> None:
     p.add_argument("--format", choices=formats, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tropevol",
         description="Exact lattice counting and volume functionals for "

@@ -33,8 +33,10 @@ counted by a level-by-level prefix-sum DP whose cost and memory are the sum
 of the largest reachable value per level, about (g_1 + ... + g_m) * t, not
 the count itself.  Since count(c*g, t) = count(g, c*t), a cell whose
 smallest weight is b**s has the Ehrhart polynomial of its translate by -s
-(smallest weight 1) with coefficient i multiplied by b**(s*i); the formula
-sum also counts each distinct weight tuple once.
+(smallest weight 1) with coefficient i multiplied by b**(s*i).  The formula
+sum therefore tallies the cells by exponent tuple once, folds the tuples
+into classes by shifted tuple (exponents minus their smallest, s), and
+counts one polynomial per class.
 """
 
 from __future__ import annotations
@@ -226,8 +228,29 @@ def count_classical_dilate(m: TropMatrix, k: int, guard: int | None = None) -> i
 
 
 def cell_exponents(cell: AlcovedSimplex) -> tuple:
-    """Chain weight exponents e_l: the smallest base coordinate on the l-th block."""
-    return tuple(min(cell.base[r] for r in block) for block in cell.blocks())
+    """Chain weight exponents e_l: the smallest base coordinate on the l-th block.
+
+    Read off consecutive vertices: the l-th block is where v_l differs from
+    v_(l-1), and since the blocks are disjoint, no earlier step moved those
+    coordinates, so there v_(l-1) equals the base point.
+    """
+    vs = cell.vertices
+    return tuple(
+        min(p for p, c in zip(prev, cur) if c != p) for prev, cur in zip(vs, vs[1:])
+    )
+
+
+def _tally(cells) -> dict:
+    """Exponent tuple -> [number of cells with it, the first such cell]."""
+    tally: dict = {}
+    for cell in cells:
+        key = cell_exponents(cell)
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [1, cell]
+        else:
+            entry[0] += 1
+    return tally
 
 
 def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
@@ -301,10 +324,23 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
 
 
 def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
-    """Independent tropical count: sum of open-cell counts over the triangulation."""
+    """Independent tropical count: sum of open-cell counts over the triangulation.
+
+    The strict count at a fixed t depends only on the weights, so each
+    distinct exponent tuple is counted once, on its first cell, and
+    multiplied by the number of cells that share it.
+    """
     guard = resolve_guard(guard)
     complex_ = counting_complex(arg, guard)
-    return sum(open_cell_count(c, b, k, guard) for c in complex_.cells)
+    return sum(
+        count * open_cell_count(cell, b, k, guard)
+        for count, cell in _tally(complex_.cells).values()
+    )
+
+
+def _translate(cell: AlcovedSimplex, c: int) -> AlcovedSimplex:
+    """The cell moved by c * (1, ..., 1): every exponent moves by c."""
+    return AlcovedSimplex(tuple(tuple(x + c for x in v) for v in cell.vertices))
 
 
 def classical_ehrhart_scaled_simplex(
@@ -322,7 +358,7 @@ def classical_ehrhart_scaled_simplex(
     guard = resolve_guard(guard)
     m = cell.dim
     s = min(cell_exponents(cell), default=0)
-    shifted = AlcovedSimplex(tuple(tuple(x - s for x in v) for v in cell.vertices))
+    shifted = _translate(cell, -s)
     pts = [(t, closed_cell_count(shifted, b, t, guard)) for t in range(m + 1)]
     coeffs = lagrange_interpolate(pts)
     scale = b ** s
@@ -336,19 +372,30 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
 
     c_i = sum over cells of dimension m >= i of
           (-1)**(m-i) * (b-1)**i * (classical coefficient i of the scaled cell).
-    A cell's polynomial depends only on its weight tuple, so each distinct
-    tuple is counted once per call.
+    A cell with exponents e and s = min(e) has coefficient i equal to that of
+    the class e - s times b**(s*i) (see classical_ehrhart_scaled_simplex).
+    So the cells are tallied by exponent tuple, and each shifted class keeps
+    the integers sums[i] = sum over its tuples of count * b**(s*i).  One
+    polynomial per class, of its first cell translated by -s, then gives
+    its contribution (-1)**(m-i) * (b-1)**i * sums[i] * coefficient i.
     """
-    polys = {}
+    classes: dict = {}  # shifted tuple -> (first cell, s, sums)
+    for exps, (count, cell) in _tally(cells).items():
+        s = min(exps, default=0)
+        shifted = tuple(e - s for e in exps)
+        entry = classes.get(shifted)
+        if entry is None:
+            entry = classes[shifted] = (cell, s, [0] * (len(exps) + 1))
+        scale = b ** s
+        sums = entry[2]
+        for i in range(len(sums)):
+            sums[i] += count * scale ** i
     out = [Fraction(0)] * (d + 1)
-    for cell in cells:
-        key = cell_weights(cell, b)
-        ec = polys.get(key)
-        if ec is None:
-            ec = polys[key] = classical_ehrhart_scaled_simplex(cell, b, guard)
+    for cell, s, sums in classes.values():
+        coeffs = classical_ehrhart_scaled_simplex(_translate(cell, -s), b, guard).coeffs
         m = cell.dim
         for i in range(m + 1):
-            out[i] += (-1) ** (m - i) * Fraction(b - 1) ** i * ec.coeffs[i]
+            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * coeffs[i]
     return tuple(out)
 
 

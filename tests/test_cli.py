@@ -348,3 +348,20 @@ def test_main_in_process_matches_subprocess(capsys: pytest.CaptureFixture) -> No
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["coeffs"] == ["1", "4", "4"]
+
+
+def test_parser_is_built_once_and_survives_a_parse_error(
+    capsys: pytest.CaptureFixture,
+) -> None:
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["volume", "--fixture", "L", "--definitely-not-a-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    args = ["ehrhart", "--fixture", "TRI", "--l", "3", "--k", "2", "--b", "3"]
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    fresh = _run(*args)
+    assert (code, captured.out, captured.err) == (
+        fresh.returncode, fresh.stdout, fresh.stderr
+    )

@@ -462,6 +462,70 @@ def test_memoized_formula_matches_plain_cell_sum_on_fixtures():
                 )
 
 
+def _oracle_exponents(cell):
+    """The defining exponents: the smallest base coordinate on each block."""
+    return tuple(min(cell.base[r] for r in block) for block in cell.blocks())
+
+
+def _seeded_small_matrix(rng):
+    d, n = rng.randint(1, 4), rng.randint(1, 4)
+    top = {1: 3, 2: 3, 3: 2, 4: 1}[d]
+    return TropMatrix.from_rows([[rng.randint(0, top) for _ in range(n)] for _ in range(d)])
+
+
+def test_cell_exponents_match_block_minima_on_cells_faces_and_facets():
+    rng = random.Random(1911)
+    for _ in range(40):
+        cx = enumerate_triangulation(_seeded_small_matrix(rng).translate(rng.randint(0, 3)))
+        for cell in cx.cells:
+            for sub in (cell, *cell.faces(), *cell.facets()):
+                assert ehrhart.cell_exponents(sub) == _oracle_exponents(sub), sub
+
+
+def test_class_sum_matches_plain_cell_sum_on_seeded_translates(monkeypatch):
+    # Translating by s adds s to every exponent, so raw tuples of different
+    # translates fall into the same shifted class; one polynomial per class.
+    calls = []
+    scaled = ehrhart.classical_ehrhart_scaled_simplex
+
+    def counting(cell, b, guard=None):
+        calls.append(cell)
+        return scaled(cell, b, guard)
+
+    monkeypatch.setattr(ehrhart, "classical_ehrhart_scaled_simplex", counting)
+    rng = random.Random(1912)
+    for _ in range(30):
+        m = _seeded_small_matrix(rng)
+        work = {}
+        for s in range(4):
+            cx = enumerate_triangulation(m.translate(s))
+            d = cx.ambient_dim
+            for cells_, route in (
+                (cx.cells, coeffs_via_formula),
+                (cx.interior_cells(), interior_coeffs_via_formula),
+            ):
+                shifted = {
+                    tuple(e - min(es) for e in es)
+                    for es in map(_oracle_exponents, cells_)
+                }
+                for b in (2, 3, 5):
+                    calls.clear()
+                    got = route(cx, b)
+                    assert len(calls) == len(shifted), (m.entries, s, b)
+                    assert work.setdefault((route, b), len(calls)) == len(calls)
+                    assert got == _plain_formula_sum(cells_, d, b), (m.entries, s, b)
+
+
+def test_grouped_open_cell_count_matches_per_cell_sum():
+    rng = random.Random(1913)
+    for _ in range(30):
+        cx = enumerate_triangulation(_seeded_small_matrix(rng).translate(rng.randint(0, 2)))
+        for b in (2, 3):
+            for k in range(3):
+                want = sum(ehrhart.open_cell_count(c, b, k) for c in cx.cells)
+                assert count_via_cells(cx, b, k) == want, (cx.cells[:1], b, k)
+
+
 def test_chain_guard_names_stage_on_every_call():
     cell = AlcovedSimplex.from_chain([(0, 3), (1, 3), (1, 4)])
     assert cell_weights(cell, 2) == (1, 8)
