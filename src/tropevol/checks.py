@@ -138,7 +138,7 @@ def contains_via_cells(complex_: CellComplex, x) -> bool:
 # suites
 
 
-def suite_semiring(seed=0, cases=200) -> SuiteResult:
+def suite_semiring(seed=0, cases=120) -> SuiteResult:
     res = SuiteResult("semiring")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -189,7 +189,7 @@ def suite_semiring(seed=0, cases=200) -> SuiteResult:
     return res
 
 
-def suite_membership(seed=0, cases=40) -> SuiteResult:
+def suite_membership(seed=0, cases=25) -> SuiteResult:
     res = SuiteResult("membership")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -222,12 +222,12 @@ def suite_membership(seed=0, cases=40) -> SuiteResult:
     return res
 
 
-def suite_assignment(seed=0, cases=500, max_n=6) -> SuiteResult:
+def suite_assignment(seed=0, cases=500) -> SuiteResult:
     res = SuiteResult("assignment")
     rng = random.Random(seed)
     for _ in range(cases):
         res.cases += 1
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 6)
         m = _rand_matrix(rng, d=n, m=n, lo=-9, hi=9, minus_inf_chance=0.25)
         res.check(
             tdet(m).value == tdet_brute(m),
@@ -241,7 +241,7 @@ def suite_assignment(seed=0, cases=500, max_n=6) -> SuiteResult:
     return res
 
 
-def suite_kleene(seed=0, cases=120) -> SuiteResult:
+def suite_kleene(seed=0, cases=80) -> SuiteResult:
     res = SuiteResult("kleene")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -305,7 +305,7 @@ def suite_cauchy_binet(seed=0, cases=200) -> SuiteResult:
     return res
 
 
-def suite_sign_generic(seed=0, cases=150) -> SuiteResult:
+def suite_sign_generic(seed=0, cases=100) -> SuiteResult:
     res = SuiteResult("sign-generic")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -337,7 +337,7 @@ def suite_sign_generic(seed=0, cases=150) -> SuiteResult:
     return res
 
 
-def suite_cells(seed=0, cases=30) -> SuiteResult:
+def suite_cells(seed=0, cases=20) -> SuiteResult:
     res = SuiteResult("cells")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -362,7 +362,7 @@ def suite_cells(seed=0, cases=30) -> SuiteResult:
     return res
 
 
-def suite_ehrhart(seed=0, cases=25) -> SuiteResult:
+def suite_ehrhart(seed=0, cases=15) -> SuiteResult:
     res = SuiteResult("ehrhart")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -725,7 +725,7 @@ def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
     return res
 
 
-def suite_conjecture(seed=0, cases=40) -> SuiteResult:
+def suite_conjecture(seed=0, cases=15) -> SuiteResult:
     """Search for Log c_i > tminor_i counterexamples; warn, never fail."""
     res = SuiteResult("conjecture")
     rng = random.Random(seed)
@@ -765,32 +765,17 @@ SUITES = {
     "conjecture": suite_conjecture,
 }
 
-_DEFAULT_CASES = {
-    "semiring": 120,
-    "membership": 25,
-    "assignment": 500,
-    "kleene": 80,
-    "cauchy-binet": 200,
-    "sign-generic": 100,
-    "cells": 20,
-    "ehrhart": 15,
-    "cross-volume": 100,
-    "theorems": 50,
-    "volume-properties": 50,
-    "conjecture": 15,
-}
-
 
 def run_suites(names=None, seed=0, cases=None):
-    """Run the chosen suites (all by default); returns a list of SuiteResult."""
-    if names is None:
-        names = list(SUITES)
-    results = []
+    """Run the chosen suites (all by default); returns a list of SuiteResult.
+
+    Each suite runs its own default number of cases unless cases is given.
+    """
+    names = list(SUITES) if names is None else names
     for name in names:
         if name not in SUITES:
             raise ValidationError(
-                f"unknown suite {name!r}; pick from {', '.join(sorted(SUITES))}"
+                f"unknown suite {name!r}; available: {', '.join(SUITES)}"
             )
-        n = cases if cases is not None else _DEFAULT_CASES[name]
-        results.append(SUITES[name](seed=seed, cases=n))
-    return results
+    sized = {} if cases is None else {"cases": cases}
+    return [SUITES[name](seed=seed, **sized) for name in names]

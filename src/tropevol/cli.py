@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .cells import enumerate_triangulation
@@ -30,22 +29,8 @@ from .fixtures import (
     fix_tri,
 )
 from .guard import resolve_guard
-from .checks import SUITES, run_suites
+from .checks import run_suites
 from .volumes import build_volume_report, cartesian_product
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the report-producing subcommands."""
-
-    matrix: Optional[TropMatrix]
-    b: int
-    kmax: Optional[int]
-    method: str
-    i: Optional[int]
-    guard: int
-    out: Optional[str]
-    fmt: str
 
 
 def _parse_point(text: str) -> tuple:
@@ -55,52 +40,35 @@ def _parse_point(text: str) -> tuple:
         raise ValidationError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _given(**sizes) -> dict:
+    """The size options set on the command line; the fixtures default the rest."""
+    return {name: value for name, value in sizes.items() if value is not None}
+
+
+# lower-cased fixture name -> its matrix, built from the parsed size options
+_FIXTURES = {
+    "cube": lambda a: cube(**_given(d=a.d)),
+    "l": lambda a: fix_l(**_given(l=a.l)),
+    "tri": lambda a: fix_tri(**_given(l=a.l, k=a.k)),
+    "4d": lambda a: fix_4d(),
+    "delta2": lambda a: fix_delta2(),
+    "prod": lambda a: cartesian_product(*fix_prod(**_given(l=a.l))),
+    "alcove": lambda a: alcove_simplex(_parse_point(a.a)),
+}
+
+
 def _load_matrix(args) -> TropMatrix:
-    if getattr(args, "input", None):
+    if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ValidationError(f"cannot read {args.input}: {exc}")
         return TropMatrix.from_json(text, allow_minus_inf_columns=True)
-    name = (getattr(args, "fixture", None) or "").lower()
-    if name == "cube":
-        return cube(args.d if args.d is not None else 2)
-    if name == "l":
-        return fix_l(args.l if args.l is not None else 4)
-    if name == "tri":
-        return fix_tri(
-            args.l if args.l is not None else 3,
-            args.k if args.k is not None else 0,
-        )
-    if name == "4d":
-        return fix_4d()
-    if name == "delta2":
-        return fix_delta2()
-    if name == "prod":
-        m, n = fix_prod(args.l if args.l is not None else 3)
-        return cartesian_product(m, n)
-    if name == "alcove":
-        return alcove_simplex(_parse_point(args.a if args.a is not None else "1,2"))
-    raise ValidationError(f"unknown fixture {name!r}")
-
-
-def _make_config(args) -> RunConfig:
-    b = getattr(args, "b", 2)
-    check_base(b)
-    kmax = getattr(args, "kmax", None)
-    if kmax is not None and kmax < 0:
-        raise ValidationError(f"kmax must be nonnegative, got {kmax}")
-    return RunConfig(
-        matrix=_load_matrix(args),
-        b=b,
-        kmax=kmax,
-        method=getattr(args, "method", "subsets"),
-        i=getattr(args, "i", None),
-        guard=resolve_guard(getattr(args, "guard", None)),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", None) or "json",
-    )
+    name = (args.fixture or "").lower()
+    if name not in _FIXTURES:
+        raise ValidationError(f"unknown fixture {name!r}")
+    return _FIXTURES[name](args)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -135,47 +103,41 @@ def _render_text(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(obj, fmt: str, what: str) -> str:
-    if fmt == "json":
-        return _render_json(obj)
-    if fmt == "text":
-        return _render_text(obj)
-    raise ValidationError(f"format {fmt!r} does not apply to {what}")
+def _render(obj, fmt: str) -> str:
+    """fmt is one of the parser's --format choices, json or text."""
+    return _render_json(obj) if fmt == "json" else _render_text(obj)
 
 
 def _cmd_volume(args) -> int:
-    cfg = _make_config(args)
-    report = build_volume_report(cfg.matrix, method=cfg.method, guard=cfg.guard)
+    m = _load_matrix(args)
+    report = build_volume_report(m, method=args.method, guard=resolve_guard(args.guard))
     obj = report.to_json_dict()
-    if cfg.i is not None:
-        if not 1 <= cfg.i <= cfg.matrix.rows:
-            raise ValidationError(
-                f"i must lie in 1..{cfg.matrix.rows}, got {cfg.i}"
-            )
+    if args.i is not None:
+        if not 1 <= args.i <= m.rows:
+            raise ValidationError(f"i must lie in 1..{m.rows}, got {args.i}")
         if obj.get("i_volumes"):
-            key = str(cfg.i)
+            key = str(args.i)
             obj["i_volumes"] = {key: obj["i_volumes"][key]}
-    _emit(_render(obj, cfg.fmt, "volume reports"), cfg.out)
+    _emit(_render(obj, args.format), args.out)
     return 0
 
 
 def _cmd_ehrhart(args) -> int:
-    cfg = _make_config(args)
-    kmax = cfg.kmax if cfg.kmax is not None else cfg.matrix.rows
-    obj = ehrhart_report(cfg.matrix, cfg.b, kmax, cfg.guard)
-    _emit(_render(obj, cfg.fmt, "counting reports"), cfg.out)
+    check_base(args.b)
+    if args.kmax is not None and args.kmax < 0:
+        raise ValidationError(f"kmax must be nonnegative, got {args.kmax}")
+    m = _load_matrix(args)
+    guard = resolve_guard(args.guard)
+    kmax = args.kmax if args.kmax is not None else m.rows
+    obj = ehrhart_report(m, args.b, kmax, guard)
+    _emit(_render(obj, args.format), args.out)
     return 0 if obj["agree"] else 4
 
 
 def _cmd_check(args) -> int:
-    if args.suite is not None and args.suite not in SUITES:
-        raise ValidationError(
-            f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}"
-        )
-    names = [args.suite] if args.suite else None
+    names = None if args.suite is None else [args.suite]
     results = run_suites(names, seed=args.seed, cases=args.cases)
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         obj = {
             "seed": args.seed,
             "suites": [
@@ -190,7 +152,7 @@ def _cmd_check(args) -> int:
             ],
         }
         text = _render_json(obj)
-    elif fmt == "text":
+    else:
         lines = []
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -200,8 +162,6 @@ def _cmd_check(args) -> int:
             for msg in r.warnings:
                 lines.append(f"  warning: {msg}")
         text = "\n".join(lines) + "\n"
-    else:
-        raise ValidationError(f"format {fmt!r} does not apply to check runs")
     _emit(text, args.out)
     return 0 if all(r.passed for r in results) else 4
 
@@ -217,18 +177,16 @@ def _svg_xy(x: float, y: float, ymax: float) -> tuple:
 
 
 def _cmd_plot(args) -> int:
-    cfg = _make_config(args)
-    m = cfg.matrix
+    check_base(args.b)
+    m = _load_matrix(args)
+    guard = resolve_guard(args.guard)
     if m.rows != 2:
         raise ValidationError("plotting is only implemented for two rows")
     if not m.is_finite():
         raise ValidationError("plotting needs finite entries")
     if not m.is_integer():
         raise ValidationError("plotting needs integer entries")
-    fmt = getattr(args, "format", None) or "svg"
-    if fmt != "svg":
-        raise ValidationError(f"format {fmt!r} does not apply to plots")
-    complex_ = enumerate_triangulation(m, cfg.guard)
+    complex_ = enumerate_triangulation(m, guard)
     if not complex_.cells:
         raise ValidationError("empty cell complex, nothing to draw")
 
@@ -277,12 +235,12 @@ def _cmd_plot(args) -> int:
 
     # lattice dots: finite points of the base-b grid inside the box
     if m.is_nonnegative():
-        top1 = cfg.b ** max(m.entries[0])
-        top2 = cfg.b ** max(m.entries[1])
-        if top1 * top2 <= cfg.guard:
-            logb = math.log(cfg.b)
+        top1 = args.b ** max(m.entries[0])
+        top2 = args.b ** max(m.entries[1])
+        if top1 * top2 <= guard:
+            logb = math.log(args.b)
             member = maxtimes_membership(
-                [[cfg.b ** e for e in row] for row in m.entries], max(top1, top2)
+                [[args.b ** e for e in row] for row in m.entries], max(top1, top2)
             )
             for n1 in range(1, top1 + 1):
                 for n2 in range(1, top2 + 1):
@@ -301,7 +259,7 @@ def _cmd_plot(args) -> int:
                             'fill="#bbbbbb"/>'
                         )
     parts.append("</svg>")
-    _emit("\n".join(parts) + "\n", cfg.out)
+    _emit("\n".join(parts) + "\n", args.out)
     return 0
 
 
@@ -315,14 +273,14 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, default=None, help="size parameter for L, TRI, PROD")
     p.add_argument("--k", type=int, default=None, help="tail length for TRI")
     p.add_argument("--d", type=int, default=None, help="dimension for cube")
-    p.add_argument("--a", default=None, help="comma-separated base point for ALCOVE")
+    p.add_argument("--a", default="1,2", help="comma-separated base point for ALCOVE")
     # the check suites take no --guard; TROPEVOL_GUARD still reaches them
     p.add_argument("--guard", type=int, default=None, help="work guard override")
 
 
-def _add_common(p: argparse.ArgumentParser, formats) -> None:
+def _add_common(p: argparse.ArgumentParser, formats, default: str) -> None:
     p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--format", choices=formats, default=None)
+    p.add_argument("--format", choices=formats, default=default)
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm for the barycentric volume",
     )
     p_vol.add_argument("--i", type=int, default=None, help="report only this i-volume")
-    _add_common(p_vol, ("json", "text"))
+    _add_common(p_vol, ("json", "text"), "json")
     p_vol.set_defaults(func=_cmd_volume)
 
     p_ehr = sub.add_parser("ehrhart", help="count lattice points and interpolate")
@@ -353,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ehr.add_argument(
         "--kmax", type=int, default=None, help="largest dilation exponent to tabulate"
     )
-    _add_common(p_ehr, ("json", "text"))
+    _add_common(p_ehr, ("json", "text"), "json")
     p_ehr.set_defaults(func=_cmd_ehrhart)
 
     p_chk = sub.add_parser("check", help="run the self-check suites")
@@ -362,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument(
         "--cases", type=int, default=None, help="cases per suite (default per suite)"
     )
-    _add_common(p_chk, ("json", "text"))
+    _add_common(p_chk, ("json", "text"), "text")
     p_chk.set_defaults(func=_cmd_check)
 
     p_plot = sub.add_parser("plot", help="draw the cell complex as SVG (two rows)")
     _add_matrix_source(p_plot)
     p_plot.add_argument("--b", type=int, default=2, help="lattice base for the dots")
-    _add_common(p_plot, ("svg",))
+    _add_common(p_plot, ("svg",), "svg")
     p_plot.set_defaults(func=_cmd_plot)
     return parser
 

@@ -75,21 +75,6 @@ def tsum(values: Iterable[Entry]) -> Entry:
     return best
 
 
-def tmin(values: Iterable[Entry]) -> Entry:
-    """Minimum with -inf absorbing (used by residuation)."""
-    out: Entry = None
-    first = True
-    for v in values:
-        if v is None:
-            return None
-        if first or v < out:
-            out = v
-            first = False
-    if first:
-        raise ValidationError("tmin of empty sequence")
-    return out
-
-
 _ENTRY_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 

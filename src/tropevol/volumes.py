@@ -124,26 +124,31 @@ def tlvol_triangulation(arg, guard: int | None = None):
     return best, witness
 
 
+def _tlvol_by_method(m: TropMatrix, method: str, guard: int | None):
+    """(tlvol, subsets witness or None, complex or None) by the named method.
+
+    Only the triangulation methods build the complex of m; "both" takes the
+    subsets value and witness, cross-checked against the triangulation.
+    """
+    if method == "subsets":
+        return (*tlvol_subsets(m), None)
+    if method not in ("triangulation", "both"):
+        raise ValidationError(f"unknown method {method!r}")
+    complex_ = as_complex(m, guard)
+    if method == "triangulation":
+        return tlvol_triangulation(complex_)[0], None, complex_
+    value, witness = tlvol_subsets(m)
+    other = tlvol_triangulation(complex_)[0]
+    if value != other:
+        raise CrossCheckError(
+            f"tlvol mismatch: subsets {value!r} vs triangulation {other!r}"
+        )
+    return value, witness, complex_
+
+
 def tlvol(m: TropMatrix, method: str = "subsets", guard: int | None = None) -> Entry:
     """Tropical barycentric volume; method picks the algorithm or cross-checks."""
-    if method == "subsets":
-        return tlvol_subsets(m)[0]
-    if method == "triangulation":
-        return tlvol_triangulation(m, guard)[0]
-    if method == "both":
-        return _tlvol_both(m, as_complex(m, guard))[0]
-    raise ValidationError(f"unknown method {method!r}")
-
-
-def _tlvol_both(m: TropMatrix, complex_: CellComplex):
-    """(tlvol, subsets witness), cross-checked against the triangulation of m."""
-    a, witness = tlvol_subsets(m)
-    b = tlvol_triangulation(complex_)[0]
-    if a != b:
-        raise CrossCheckError(
-            f"tlvol mismatch: subsets {a!r} vs triangulation {b!r}"
-        )
-    return a, witness
+    return _tlvol_by_method(m, method, guard)[0]
 
 
 def _trunk_max(complex_: CellComplex, i: int, key: Callable):
@@ -222,6 +227,16 @@ def _fmt_value(v) -> str:
     return "unique" if v is UNIQUE_GAP else str(format_entry(v))
 
 
+def _fmt_columns(witness: Optional[tuple]) -> Optional[list]:
+    """A column-index witness as a list of ints; None if there is none."""
+    return list(witness) if witness else None
+
+
+def _fmt_point(witness: Optional[tuple]) -> Optional[list]:
+    """A point witness as a list of rendered coordinates; None if there is none."""
+    return [_fmt_value(c) for c in witness] if witness is not None else None
+
+
 @dataclass(frozen=True)
 class VolumeReport:
     """All volume functionals of one matrix, with witnesses."""
@@ -239,13 +254,11 @@ class VolumeReport:
         fmt = _fmt_value
         out = {
             "tlvol": fmt(self.tlvol),
-            "tlvol_witness": list(self.tlvol_witness) if self.tlvol_witness else None,
+            "tlvol_witness": _fmt_columns(self.tlvol_witness),
             "qtvol_plus": fmt(self.qtvol_plus),
-            "qtvol_plus_witness": (
-                list(self.qtvol_plus_witness) if self.qtvol_plus_witness else None
-            ),
+            "qtvol_plus_witness": _fmt_columns(self.qtvol_plus_witness),
             "tvol": fmt(self.tvol),
-            "tvol_witness": list(self.tvol_witness) if self.tvol_witness else None,
+            "tvol_witness": _fmt_columns(self.tvol_witness),
             "i_volumes": None,
             "surface": None,
         }
@@ -253,17 +266,9 @@ class VolumeReport:
             out["i_volumes"] = {
                 str(i): {
                     "plus": fmt(t["plus"]),
-                    "plus_witness": (
-                        [fmt(c) for c in t["plus_witness"]]
-                        if t["plus_witness"] is not None
-                        else None
-                    ),
+                    "plus_witness": _fmt_point(t["plus_witness"]),
                     "minus": fmt(t["minus"]),
-                    "minus_witness": (
-                        [fmt(c) for c in t["minus_witness"]]
-                        if t["minus_witness"] is not None
-                        else None
-                    ),
+                    "minus_witness": _fmt_point(t["minus_witness"]),
                 }
                 for i, t in sorted(self.i_volumes.items())
             }
@@ -284,15 +289,7 @@ def build_volume_report(
     The matrix is triangulated at most once: the triangulation methods and
     the i-volumes, surface areas and discrete surface all read one complex.
     """
-    complex_ = None
-    if method == "both":
-        complex_ = as_complex(m, guard)
-        tl, tl_w = _tlvol_both(m, complex_)
-    elif method == "triangulation":
-        complex_ = as_complex(m, guard)
-        tl, tl_w = tlvol_triangulation(complex_)[0], None
-    else:
-        tl, tl_w = tlvol_subsets(m)
+    tl, tl_w, complex_ = _tlvol_by_method(m, method, guard)
     if m.cols >= m.rows:
         qv, qv_w = qtvol_plus(m)
     else:

@@ -51,8 +51,11 @@ def test_run_suites_is_deterministic_for_a_seed() -> None:
 
 
 def test_unknown_suite_name_rejected() -> None:
-    with pytest.raises(ValidationError):
-        run_suites(names=["nosuch"])
+    with pytest.raises(ValidationError) as info:
+        run_suites(names=["semiring", "nosuch"])
+    assert str(info.value) == (
+        "unknown suite 'nosuch'; available: " + ", ".join(SUITES)
+    )
 
 
 def test_conjecture_suite_reports_warnings_not_failures() -> None:

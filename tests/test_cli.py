@@ -7,6 +7,7 @@ as a shell user would see them.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tropevol import cli
+from tropevol import checks, cli
 from tropevol.fixtures import fix_l
 
 EHRHART_L4_GOLDEN = """\
@@ -260,6 +261,52 @@ def test_check_deterministic_for_seed() -> None:
 def test_check_unknown_suite() -> None:
     proc = _run("check", "--suite", "nosuch")
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: unknown suite 'nosuch'; available: semiring, membership, "
+        "assignment, kleene, cauchy-binet, sign-generic, cells, ehrhart, "
+        "cross-volume, theorems, volume-properties, conjecture\n"
+    )
+
+
+# cases per suite in a plain `tropevol check`: each suite's signature default
+CHECK_DEFAULT_CASES = {
+    "semiring": 120,
+    "membership": 25,
+    "assignment": 500,
+    "kleene": 80,
+    "cauchy-binet": 200,
+    "sign-generic": 100,
+    "cells": 20,
+    "ehrhart": 15,
+    "cross-volume": 100,
+    "theorems": 50,
+    "volume-properties": 50,
+    "conjecture": 15,
+}
+
+
+def test_plain_check_runs_each_suite_at_its_signature_default(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    defaults = {
+        name: inspect.signature(suite).parameters["cases"].default
+        for name, suite in checks.SUITES.items()
+    }
+    assert defaults == CHECK_DEFAULT_CASES
+    calls = {}
+
+    def recorder(name):
+        def run(**kwargs):
+            calls[name] = kwargs
+            return checks.SuiteResult(name)
+
+        return run
+
+    for name in list(checks.SUITES):
+        monkeypatch.setitem(checks.SUITES, name, recorder(name))
+    assert cli.main(["check", "--out", os.devnull]) == 0
+    assert calls == {name: {"seed": 0} for name in CHECK_DEFAULT_CASES}
 
 
 def test_plot_l_shape_svg() -> None:

@@ -24,7 +24,6 @@ from tropevol.core import (
     recompose,
     residuate,
     tadd,
-    tmin,
     tmul,
     trop_distance,
     tsum,
@@ -49,8 +48,6 @@ def test_scalar_operations():
     assert tmul(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert tsum([]) is MINUS_INF
     assert tsum([None, 2, 7, None]) == 7
-    assert tmin([None, 4]) is MINUS_INF
-    assert tmin([2, 4]) == 2
 
 
 @given(a=entries, b=entries, c=entries)

@@ -70,6 +70,12 @@ def test_tlvol_unknown_method_rejected() -> None:
         tlvol(fix_l(4), method="fastest")
 
 
+def test_build_volume_report_unknown_method_rejected() -> None:
+    # the report and tlvol share one method dispatch
+    with pytest.raises(ValidationError, match="unknown method 'fastest'"):
+        build_volume_report(fix_l(4), method="fastest")
+
+
 def test_tlvol_cross_check_mismatch_raises(monkeypatch: pytest.MonkeyPatch) -> None:
     import tropevol.volumes as volumes
 
