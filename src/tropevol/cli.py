@@ -110,26 +110,22 @@ def _render(obj, fmt: str) -> str:
 
 def _cmd_volume(args) -> int:
     m = _load_matrix(args)
+    if args.i is not None and not 1 <= args.i <= m.rows:
+        raise ValidationError(f"i must lie in 1..{m.rows}, got {args.i}")
     report = build_volume_report(m, method=args.method, guard=resolve_guard(args.guard))
     obj = report.to_json_dict()
-    if args.i is not None:
-        if not 1 <= args.i <= m.rows:
-            raise ValidationError(f"i must lie in 1..{m.rows}, got {args.i}")
-        if obj.get("i_volumes"):
-            key = str(args.i)
-            obj["i_volumes"] = {key: obj["i_volumes"][key]}
+    if args.i is not None and obj.get("i_volumes"):
+        key = str(args.i)
+        obj["i_volumes"] = {key: obj["i_volumes"][key]}
     _emit(_render(obj, args.format), args.out)
     return 0
 
 
 def _cmd_ehrhart(args) -> int:
     check_base(args.b)
-    if args.kmax is not None and args.kmax < 0:
-        raise ValidationError(f"kmax must be nonnegative, got {args.kmax}")
     m = _load_matrix(args)
-    guard = resolve_guard(args.guard)
     kmax = args.kmax if args.kmax is not None else m.rows
-    obj = ehrhart_report(m, args.b, kmax, guard)
+    obj = ehrhart_report(m, args.b, kmax, args.guard)
     _emit(_render(obj, args.format), args.out)
     return 0 if obj["agree"] else 4
 

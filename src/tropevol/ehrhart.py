@@ -37,10 +37,18 @@ smallest weight is b**s has the Ehrhart polynomial of its translate by -s
 sum therefore tallies the cells by exponent tuple once, folds the tuples
 into classes by shifted tuple (exponents minus their smallest, s), and
 counts one polynomial per class.
+
+A class polynomial of an m-cell is read off its counts at t = 0..m through
+one integer table per m, m! times the inverse Vandermonde matrix of those
+nodes, and the formula sum adds d! * c_i in integers, forming the d + 1
+Fractions once.  That table, keyed by m alone, is the only state kept
+between calls: nothing is cached per cell, class or matrix, so a second
+call on the same input repeats every count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,7 +348,27 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
 
 def _translate(cell: AlcovedSimplex, c: int) -> AlcovedSimplex:
     """The cell moved by c * (1, ..., 1): every exponent moves by c."""
+    if not c:
+        return cell
     return AlcovedSimplex(tuple(tuple(x + c for x in v) for v in cell.vertices))
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolation_table(m: int) -> tuple:
+    """m! times the inverse Vandermonde matrix of the nodes t = 0..m, in ints.
+
+    Coefficient i of the polynomial of degree <= m through (t, y_t) is
+    (row_i . y) / m!.  Column k of the inverse holds the coefficients of the
+    k-th Lagrange basis polynomial, whose denominator is +-k!(m-k)!, a divisor
+    of m!, so every entry of the table is an integer.  The columns come from
+    lagrange_interpolate on unit vectors.
+    """
+    scale = factorial(m)
+    cols = [
+        lagrange_interpolate([(t, int(t == k)) for t in range(m + 1)])
+        for k in range(m + 1)
+    ]
+    return tuple(tuple(int(col[i] * scale) for col in cols) for i in range(m + 1))
 
 
 def classical_ehrhart_scaled_simplex(
@@ -352,18 +380,23 @@ def classical_ehrhart_scaled_simplex(
     the smallest base coordinate over the increment blocks: its weights are
     those of the cell divided by b**s, and count(b**s * g, t) = count(g,
     b**s * t) turns coefficient i of its polynomial into coefficient i of
-    the cell's after multiplication by b**(s*i).
+    the cell's after multiplication by b**(s*i).  The coefficients are read
+    off the counts at t = 0..m through _interpolation_table(m).
     """
     check_base(b)
     guard = resolve_guard(guard)
     m = cell.dim
     s = min(cell_exponents(cell), default=0)
     shifted = _translate(cell, -s)
-    pts = [(t, closed_cell_count(shifted, b, t, guard)) for t in range(m + 1)]
-    coeffs = lagrange_interpolate(pts)
+    counts = [closed_cell_count(shifted, b, t, guard) for t in range(m + 1)]
+    den = factorial(m)
     scale = b ** s
     return ClassicalEhrhartPolynomial(
-        tuple(c * scale ** i for i, c in enumerate(coeffs)), m
+        tuple(
+            Fraction(sum(w * y for w, y in zip(row, counts)) * scale ** i, den)
+            for i, row in enumerate(_interpolation_table(m))
+        ),
+        m,
     )
 
 
@@ -378,6 +411,9 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
     the integers sums[i] = sum over its tuples of count * b**(s*i).  One
     polynomial per class, of its first cell translated by -s, then gives
     its contribution (-1)**(m-i) * (b-1)**i * sums[i] * coefficient i.
+    Coefficient i of an m-cell has a denominator dividing m!, which divides
+    d!, so the contributions are summed exactly as the integers d! * c_i and
+    divided by d! once at the end.
     """
     classes: dict = {}  # shifted tuple -> (first cell, s, sums)
     for exps, (count, cell) in _tally(cells).items():
@@ -390,13 +426,17 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
         sums = entry[2]
         for i in range(len(sums)):
             sums[i] += count * scale ** i
-    out = [Fraction(0)] * (d + 1)
+    den = factorial(d)
+    out = [0] * (d + 1)  # d! * c_i
     for cell, s, sums in classes.values():
         coeffs = classical_ehrhart_scaled_simplex(_translate(cell, -s), b, guard).coeffs
         m = cell.dim
         for i in range(m + 1):
-            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * coeffs[i]
-    return tuple(out)
+            c = coeffs[i]
+            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * c.numerator * (
+                den // c.denominator
+            )
+    return tuple(Fraction(x, den) for x in out)
 
 
 def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
@@ -579,6 +619,8 @@ def log_coefficient(arg, i: int, guard: int | None = None) -> Optional[int]:
 
 def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -> dict:
     """JSON-ready report: counts, interpolated and formula coefficients."""
+    if kmax < 0:
+        raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     guard = resolve_guard(guard)
     counted = {}
 

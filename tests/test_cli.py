@@ -128,6 +128,14 @@ def test_volume_i_filter() -> None:
     assert out_of_range.returncode == 2
 
 
+def test_volume_i_is_checked_before_the_report_is_built() -> None:
+    # a guard of 1 trips the report's first scan, so the report must not run
+    proc = _run("volume", "--fixture", "L", "--i", "3", "--guard", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: i must lie in 1..2, got 3\n"
+
+
 def test_volume_text_format() -> None:
     proc = _run("volume", "--fixture", "L", "--l", "4", "--format", "text")
     assert proc.returncode == 0

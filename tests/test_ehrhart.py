@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -347,6 +348,16 @@ def test_ehrhart_report_shape():
     assert [c["value"] for c in rep["counts"]] == [9, 18, 39, 93]
 
 
+def test_ehrhart_report_rejects_negative_kmax_before_counting(monkeypatch):
+    def counting(*args, **kwargs):
+        raise AssertionError("counted before kmax was checked")
+
+    monkeypatch.setattr(ehrhart, "count_tropical", counting)
+    monkeypatch.setattr(ehrhart, "coeffs_via_formula", counting)
+    with pytest.raises(ValidationError, match=r"^kmax must be nonnegative, got -1$"):
+        ehrhart_report(fix_l(4), 2, -1)
+
+
 def test_ehrhart_report_counts_each_k_once(monkeypatch):
     calls = []
 
@@ -432,6 +443,42 @@ def test_scaled_simplex_matches_unshifted_interpolation():
                 assert classical_ehrhart_scaled_simplex(cell, b).coeffs == want, (cell, b)
 
 
+def test_interpolation_table_is_integral_and_matches_lagrange():
+    rng = random.Random(1915)
+    for m in range(9):
+        table = ehrhart._interpolation_table(m)
+        assert len(table) == m + 1
+        assert all(len(row) == m + 1 for row in table)
+        assert all(type(w) is int for row in table for w in row), m
+        for _ in range(20):
+            # integer-valued: an integer combination of the binomials C(t, k)
+            weights = [rng.randint(-50, 50) for _ in range(m + 1)]
+            ys = [sum(a * math.comb(t, k) for k, a in enumerate(weights)) for t in range(m + 1)]
+            got = tuple(
+                Fraction(sum(w * y for w, y in zip(row, ys)), math.factorial(m))
+                for row in table
+            )
+            assert got == lagrange_interpolate(list(enumerate(ys))), (m, ys)
+
+
+def test_formula_calls_keep_no_state_between_calls(monkeypatch):
+    # every call repeats its own counts: only the per-dimension table is cached
+    calls = []
+    closed = ehrhart.closed_cell_count
+
+    def counting(cell, b, t, guard=None):
+        calls.append((cell, t))
+        return closed(cell, b, t, guard)
+
+    monkeypatch.setattr(ehrhart, "closed_cell_count", counting)
+    cx = enumerate_triangulation(fix_l(4).translate(3))
+    first = coeffs_via_formula(cx, 2)
+    made = len(calls)
+    calls.clear()
+    assert coeffs_via_formula(cx, 2) == first
+    assert made > 0 and len(calls) == made
+
+
 def _plain_formula_sum(cells, d, b):
     """Per-cell sum with each cell counted unshifted and without reuse."""
     out = [Fraction(0)] * (d + 1)
@@ -460,6 +507,15 @@ def test_memoized_formula_matches_plain_cell_sum_on_fixtures():
                 assert interior_coeffs_via_formula(cx, b) == _plain_formula_sum(
                     cx.interior_cells(), d, b
                 )
+
+
+def test_formula_sum_matches_plain_cell_sum_on_formula_workload_shapes():
+    # 3x4 matrices with entries 0..3, translated by up to 12, at b = 2
+    rng = random.Random(1916)
+    for _ in range(12):
+        rows = [[rng.randint(0, 3) for _ in range(4)] for _ in range(3)]
+        cx = enumerate_triangulation(TropMatrix.from_rows(rows).translate(rng.randint(0, 12)))
+        assert coeffs_via_formula(cx, 2) == _plain_formula_sum(cx.cells, 3, 2), rows
 
 
 def _oracle_exponents(cell):
