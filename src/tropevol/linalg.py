@@ -8,6 +8,15 @@ certify optimality and drive the Kleene-star normal form used by the volume
 pipeline.  Brute-force enumerations are kept for the quantities that are
 defined through explicit permutation expansions (second-best value, signed
 bideterminant) and double as oracles in the tests.
+
+A volume report analyses each matrix once.  One permutation expansion per
+d x d column subset yields the best and the second-best term together, so
+a single sweep of the subsets (column_subset_volumes) gives both the
+dequantized volume qtvol+ (the best term is the determinant) and tvol (the
+gap between the two).  A simplex's one Hungarian solve serves both the
+uniqueness test and the normal form (the private helpers behind
+is_nonsingular and assignment_normalize take a solved AssignmentResult).
+tminor keeps the Hungarian route and is the independent oracle for qtvol+.
 """
 
 from __future__ import annotations
@@ -124,17 +133,16 @@ def tdet(a: TropMatrix) -> AssignmentResult:
     return AssignmentResult(value, sigma, tuple(-x for x in u), tuple(-x for x in v))
 
 
-def _expansion_terms(a: TropMatrix, what: str) -> Iterator[tuple]:
-    """(sigma, sum of A[i][sigma(i)]) for each permutation whose term is finite.
+def _expansion_terms(rows, cols: Sequence[int], what: str) -> Iterator[tuple]:
+    """(sigma, sum of rows[i][sigma[i]]) for each bijection sigma from the rows
+    onto cols whose term is finite.
 
-    A term is abandoned at its first -inf entry.  Square matrices up to
-    BRUTE_LIMIT only; `what` names the caller in the refusal message.
+    A term is abandoned at its first -inf entry.  At most BRUTE_LIMIT columns;
+    `what` names the caller in the refusal message.
     """
-    n = _require_square(a)
-    if n > BRUTE_LIMIT:
+    if len(cols) > BRUTE_LIMIT:
         raise ValidationError(f"{what} limited to n <= {BRUTE_LIMIT}")
-    rows = a.entries
-    for sigma in permutations(range(n)):
+    for sigma in permutations(cols):
         term = 0
         for row, j in zip(rows, sigma):
             if row[j] is None:
@@ -144,9 +152,35 @@ def _expansion_terms(a: TropMatrix, what: str) -> Iterator[tuple]:
             yield sigma, term
 
 
+def _square_terms(a: TropMatrix, what: str) -> Iterator[tuple]:
+    """The expansion terms of a square matrix (n <= BRUTE_LIMIT)."""
+    return _expansion_terms(a.entries, range(_require_square(a)), what)
+
+
 def tdet_brute(a: TropMatrix) -> Entry:
     """Oracle: direct permutation expansion (n <= BRUTE_LIMIT)."""
-    return tsum(term for _, term in _expansion_terms(a, "brute determinant"))
+    return tsum(term for _, term in _square_terms(a, "brute determinant"))
+
+
+def _best_two(m: TropMatrix, js: Sequence[int]) -> tuple:
+    """(best, second) expansion terms of the d x d submatrix on columns js.
+
+    second is the best term after excluding one fixed maximizer, so ties at
+    the top make it equal to best; a missing term is -inf.  Past BRUTE_LIMIT
+    columns the expansion is refused, unless the Hungarian solve shows that
+    no term is finite.
+    """
+    if len(js) > BRUTE_LIMIT and tdet(m.submatrix_columns(js)).value is None:
+        return None, None
+    best: Entry = None
+    second: Entry = None
+    for _, term in _expansion_terms(m.entries, js, "second-best value"):
+        if best is None or term > best:
+            second = best
+            best = term
+        elif second is None or term > second:
+            second = term
+    return best, second
 
 
 def tdet_second(a: TropMatrix) -> Entry:
@@ -155,15 +189,7 @@ def tdet_second(a: TropMatrix) -> Entry:
     Ties at the top mean the second value equals the top value.  -inf when at
     most one permutation has a finite expansion term.
     """
-    best: Entry = None
-    second: Entry = None
-    for _, term in _expansion_terms(a, "second-best value"):
-        if best is None or term > best:
-            second = best
-            best = term
-        elif second is None or term > second:
-            second = term
-    return second
+    return _best_two(a, range(_require_square(a)))[1]
 
 
 @dataclass(frozen=True)
@@ -176,7 +202,7 @@ class Bideterminant:
 
 def bideterminant(a: TropMatrix) -> Bideterminant:
     halves: list = [None, None]  # best even term, best odd term
-    for sigma, term in _expansion_terms(a, "bideterminant"):
+    for sigma, term in _square_terms(a, "bideterminant"):
         parity = _parity(sigma)
         halves[parity] = tadd(halves[parity], term)
     return Bideterminant(*halves)
@@ -247,20 +273,23 @@ def _peel(adj, alive_r, alive_c, deg_r, deg_c, i, j):
     deg_c[j] = 0
 
 
-def is_nonsingular(a: TropMatrix) -> bool:
-    """Finite tropical determinant attained by exactly one permutation."""
-    res = tdet(a)
+def _nonsingular_given(a: TropMatrix, res: AssignmentResult) -> bool:
+    """is_nonsingular for a matrix whose assignment res = tdet(a) is solved."""
     if res.value is None:
         return False
-    tight = _tight_graph(a, res.u, res.v)
-    return _unique_perfect_matching(tight)
+    return _unique_perfect_matching(_tight_graph(a, res.u, res.v))
+
+
+def is_nonsingular(a: TropMatrix) -> bool:
+    """Finite tropical determinant attained by exactly one permutation."""
+    return _nonsingular_given(a, tdet(a))
 
 
 def is_nonsingular_brute(a: TropMatrix) -> bool:
     """Oracle for is_nonsingular via full enumeration."""
     best: Entry = None
     count = 0
-    for _, term in _expansion_terms(a, "brute nonsingularity"):
+    for _, term in _square_terms(a, "brute nonsingularity"):
         if best is None or term > best:
             best = term
             count = 1
@@ -279,42 +308,53 @@ def tvol_square(a: TropMatrix):
     marker when only one permutation has a finite expansion term.  -inf (None)
     when even the best value is -inf.
     """
-    first = tdet(a).value
-    if first is None:
+    best, second = _best_two(a, range(_require_square(a)))
+    if best is None:
         return None
-    second = tdet_second(a)
     if second is None:
         return UNIQUE_GAP
-    return first - second
+    return best - second
+
+
+def column_subset_volumes(m: TropMatrix) -> tuple:
+    """(qtvol+, its columns, tvol, its columns) from one sweep of the d-subsets.
+
+    qtvol+ is the largest tropical d-minor, tvol the largest tvol_square over
+    the d x d column submatrices; both come from one expansion per subset.
+    The witnesses are the first column subsets in lexicographic order that
+    attain the maximum.  A subset with the UNIQUE_GAP marker dominates every
+    numeric gap, and the first such subset is the tvol witness; a subset with
+    -inf determinant contributes to neither.  Both values are -inf, with no
+    witness, when every subset has -inf determinant.
+    """
+    d, cols = m.rows, m.cols
+    if cols < d:
+        raise ValidationError(f"need at least {d} columns, got {cols}")
+    top = top_js = None
+    gap = gap_js = None
+    unique_js = None
+    for js in combinations(range(cols), d):
+        best, second = _best_two(m, js)
+        if best is None:
+            continue
+        if top is None or best > top:
+            top, top_js = best, js
+        if second is None:
+            if unique_js is None:
+                unique_js = js
+        elif gap is None or best - second > gap:
+            gap, gap_js = best - second, js
+    if unique_js is not None:
+        gap, gap_js = UNIQUE_GAP, unique_js
+    return top, top_js, gap, gap_js
 
 
 def tvol_max_sub(m: TropMatrix):
     """Max of tvol_square over all d x d column submatrices of a d x m matrix.
 
-    A submatrix with the UNIQUE_GAP marker dominates every numeric value; a
-    submatrix with -inf determinant contributes nothing.
+    The tvol half of column_subset_volumes: (value, first witness subset).
     """
-    d, cols = m.rows, m.cols
-    if cols < d:
-        raise ValidationError("need at least d columns")
-    best = None
-    best_j = None
-    saw_unique = None
-    for js in combinations(range(cols), d):
-        sub = m.submatrix_columns(js)
-        val = tvol_square(sub)
-        if val is None:
-            continue
-        if val == UNIQUE_GAP:
-            if saw_unique is None:
-                saw_unique = js
-            continue
-        if best is None or val > best:
-            best = val
-            best_j = js
-    if saw_unique is not None:
-        return UNIQUE_GAP, saw_unique
-    return best, best_j
+    return column_subset_volumes(m)[2:]
 
 
 def kleene_star(a: TropMatrix) -> TropMatrix:
@@ -363,13 +403,8 @@ class NormalizedAssignment:
     v: tuple
 
 
-def assignment_normalize(a: TropMatrix) -> NormalizedAssignment:
-    """Permute columns by the optimal assignment and subtract the duals.
-
-    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
-    <= 0 elsewhere whenever the determinant is finite.
-    """
-    res = tdet(a)
+def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignment:
+    """assignment_normalize for a matrix whose assignment res = tdet(a) is solved."""
     if res.value is None:
         raise ValidationError("assignment_normalize needs a finite tropical determinant")
     n = a.rows
@@ -383,6 +418,15 @@ def assignment_normalize(a: TropMatrix) -> NormalizedAssignment:
         rows.append(tuple(row))
     c = TropMatrix(tuple(rows), True)
     return NormalizedAssignment(c, res.sigma, res.u, res.v)
+
+
+def assignment_normalize(a: TropMatrix) -> NormalizedAssignment:
+    """Permute columns by the optimal assignment and subtract the duals.
+
+    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
+    <= 0 elsewhere whenever the determinant is finite.
+    """
+    return _normalize_given(a, tdet(a))
 
 
 def tminor(m: TropMatrix, i: int):

@@ -15,12 +15,18 @@ smallest (lower) coordinates over the i-trunk, the closure of the cells of
 dimension >= i.  A closed cell is the convex hull of a chain v_0 <= ... <= v_m,
 so each of its points lies below the top vertex v_m; both sums are monotone,
 so both maxima are attained at trunk vertices and are read off them directly.
+One pass over the sorted vertex table serves every i at once: the prefix
+sums of a vertex's sorted coordinates give its i smallest and i largest
+coordinate sums for all i together.
 The discrete surface Log c_{d-1} is the degree in b of the sum over the
 (d-1)-cells F of delta_F * (b-1)**(d-1) * b**e_F / (d-1)!, with facet weight
 delta_F in {0, 1/2, 1} (a facet of at most two d-cells) and e_F the sum of
 F's chain weight exponents.  No term is negative, so nothing cancels and
 the degree is d - 1 plus the largest e_F with delta_F nonzero.  A report
 triangulates its matrix once and reads every functional off that complex.
+It also sweeps the d-column subsets once for qtvol+ and tvol together
+(column_subset_volumes), and solves one assignment problem per
+(d+1)-column simplex.
 The triangulation and the i-volumes take any finite integer matrix as it
 is; only the discrete surface, a count, needs entries in Z>=0.
 """
@@ -29,20 +35,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .cells import CellComplex, as_complex
-from .core import Entry, TropMatrix, format_entry, max_subset_sum, min_subset_sum, tsum
+from .core import Entry, TropMatrix, format_entry, tsum
 from .ehrhart import cell_exponents, counting_complex, weighted_facets
 from .errors import CrossCheckError, ValidationError
 from .linalg import (
     UNIQUE_GAP,
-    assignment_normalize,
-    is_nonsingular,
+    _nonsingular_given,
+    _normalize_given,
+    column_subset_volumes,
     kleene_star,
+    tdet,
     tminor,
-    tvol_max_sub,
-    tvol_square,
 )
 
 
@@ -66,12 +72,11 @@ def simplex_dtrunk_barycenter(m: TropMatrix) -> Optional[tuple]:
         raise ValidationError(
             f"expected a {d}x{d + 1} simplex matrix, got {d}x{m.cols}"
         )
-    rows = [tuple(0 for _ in range(d + 1))]
-    rows.extend(m.entries)
-    abar = TropMatrix.from_rows(rows)
-    if not is_nonsingular(abar):
+    abar = TropMatrix(((0,) * (d + 1),) + m.entries)
+    res = tdet(abar)
+    if not _nonsingular_given(abar, res):
         return None
-    na = assignment_normalize(abar)
+    na = _normalize_given(abar, res)
     star = kleene_star(na.matrix)
     u = na.u
     bt = []
@@ -93,11 +98,11 @@ def tlvol_subsets(m: TropMatrix):
     d = m.rows
     if m.cols < d + 1:
         return None, None
+    columns = list(m.columns())
     best = None
     witness = None
     for J in itertools.combinations(range(m.cols), d + 1):
-        cols = [m.column(j) for j in J]
-        if len(set(cols)) < len(cols):
+        if len({columns[j] for j in J}) < d + 1:
             continue
         bt = simplex_dtrunk_barycenter(m.submatrix_columns(J))
         if bt is None:
@@ -151,35 +156,59 @@ def tlvol(m: TropMatrix, method: str = "subsets", guard: int | None = None) -> E
     return _tlvol_by_method(m, method, guard)[0]
 
 
-def _trunk_max(complex_: CellComplex, i: int, key: Callable):
-    """(max of key(v, i) over the i-trunk vertices, witness).
+def _i_volumes(complex_: CellComplex) -> dict:
+    """i -> {plus, plus_witness, minus, minus_witness} for every i in 1..d.
 
     The i-trunk vertices are the vertices of a cell of dimension >= i, read
-    off the complex's vertex_max_dim table.  The witness is the first strict
-    maximizer in sorted vertex order; an empty trunk gives (None, None).
+    off the complex's vertex_max_dim table.  One pass over the table in
+    sorted vertex order serves every i: the prefix sums of a vertex's sorted
+    coordinates give the sum of its i smallest (minus) and of its i largest
+    (plus) coordinates.  Each witness is the first strict maximizer in sorted
+    vertex order; an empty trunk gives None values and witnesses.
     """
+    d = complex_.ambient_dim
+    plus = [None] * (d + 1)
+    plus_w = [None] * (d + 1)
+    minus = [None] * (d + 1)
+    minus_w = [None] * (d + 1)
+    for v, k in sorted(complex_.vertex_max_dim.items()):
+        prefix = list(itertools.accumulate(sorted(v), initial=0))
+        total = prefix[d]
+        for i in range(1, k + 1):
+            hi = total - prefix[d - i]
+            if plus[i] is None or hi > plus[i]:
+                plus[i] = hi
+                plus_w[i] = v
+            lo = prefix[i]
+            if minus[i] is None or lo > minus[i]:
+                minus[i] = lo
+                minus_w[i] = v
+    return {
+        i: {"plus": plus[i], "plus_witness": plus_w[i],
+            "minus": minus[i], "minus_witness": minus_w[i]}
+        for i in range(1, d + 1)
+    }
+
+
+def _i_volume_row(arg, i: int, guard: int | None) -> dict:
+    """The i-th row of the i-volume table of the complex of arg."""
+    complex_ = as_complex(arg, guard)
     d = complex_.ambient_dim
     if not 1 <= i <= d:
         raise ValidationError(f"i must be in 1..{d}, got {i}")
-    trunk = [v for v, k in complex_.vertex_max_dim.items() if k >= i]
-    best = None
-    witness = None
-    for v in sorted(trunk):
-        val = key(v, i)
-        if best is None or val > best:
-            best = val
-            witness = v
-    return best, witness
+    return _i_volumes(complex_)[i]
 
 
 def tlvol_i_plus(arg, i: int, guard: int | None = None):
     """(upper barycentric i-volume, witness vertex): best i largest coordinates."""
-    return _trunk_max(as_complex(arg, guard), i, max_subset_sum)
+    row = _i_volume_row(arg, i, guard)
+    return row["plus"], row["plus_witness"]
 
 
 def tlvol_i_minus(arg, i: int, guard: int | None = None):
     """(lower barycentric i-volume, witness vertex): best i smallest coordinates."""
-    return _trunk_max(as_complex(arg, guard), i, min_subset_sum)
+    row = _i_volume_row(arg, i, guard)
+    return row["minus"], row["minus_witness"]
 
 
 def qtvol_plus(m: TropMatrix):
@@ -209,10 +238,8 @@ def tlsurf(arg, guard: int | None = None) -> tuple:
     d = complex_.ambient_dim
     if d - 1 < 1:
         raise ValidationError("surface areas need dimension at least 2")
-    return (
-        _trunk_max(complex_, d - 1, min_subset_sum)[0],
-        _trunk_max(complex_, d - 1, max_subset_sum)[0],
-    )
+    row = _i_volumes(complex_)[d - 1]
+    return row["minus"], row["plus"]
 
 
 def discrete_surface(arg, guard: int | None = None) -> Optional[int]:
@@ -291,31 +318,15 @@ def build_volume_report(
     """
     tl, tl_w, complex_ = _tlvol_by_method(m, method, guard)
     if m.cols >= m.rows:
-        qv, qv_w = qtvol_plus(m)
+        qv, qv_w, tv, tv_w = column_subset_volumes(m)
     else:
-        qv, qv_w = None, None
-    if m.rows == m.cols:
-        tv = tvol_square(m)
-        tv_w = tuple(range(m.cols))
-    elif m.cols > m.rows:
-        tv, tv_w = tvol_max_sub(m)
-    else:
-        tv, tv_w = None, None
+        qv = qv_w = tv = tv_w = None
     ivols = None
     surface = None
     if m.is_finite() and m.is_integer():
         if complex_ is None:
             complex_ = as_complex(m, guard)
-        ivols = {}
-        for i in range(1, m.rows + 1):
-            pv, pw = _trunk_max(complex_, i, max_subset_sum)
-            mv, mw = _trunk_max(complex_, i, min_subset_sum)
-            ivols[i] = {
-                "plus": pv,
-                "plus_witness": pw,
-                "minus": mv,
-                "minus_witness": mw,
-            }
+        ivols = _i_volumes(complex_)
         if m.rows >= 2:
             top = ivols[m.rows - 1]
             surface = {"lower": top["minus"], "upper": top["plus"], "discrete": None}

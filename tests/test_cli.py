@@ -181,6 +181,24 @@ def test_volume_with_fewer_columns_than_rows(
     assert data["qtvol_plus"] == "-inf"
 
 
+def test_volume_square_matrix_with_minus_inf_tvol_has_no_witness(
+    tmp_path: Path,
+) -> None:
+    # Every permutation meets a -inf entry, so tvol and qtvol+ are -inf and,
+    # as for every other shape, neither has a witness.
+    source = tmp_path / "square.json"
+    source.write_text(
+        json.dumps({"rows": 2, "cols": 2, "entries": [[0, "-inf"], [0, "-inf"]]})
+    )
+    proc = _run("volume", "--input", str(source))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["tvol"] == "-inf"
+    assert data["tvol_witness"] is None
+    assert data["qtvol_plus"] == "-inf"
+    assert data["qtvol_plus_witness"] is None
+
+
 def test_volume_triangulates_negative_entries() -> None:
     subsets = _run("volume", "--fixture", "DELTA2")
     for method in ("triangulation", "both"):

@@ -93,6 +93,27 @@ def test_tdet_second_and_unique_marker():
     assert tvol_square(tie) == 0
 
 
+@given(m=square_matrices(max_n=4, lo=-2, hi=2))
+@settings(max_examples=150, deadline=None)
+def test_best_two_terms_match_the_sorted_expansion(m):
+    # Narrow entries make ties at the top common; the second value then
+    # equals the top one, wherever the tying permutation comes in order.
+    n = m.rows
+    terms = sorted(
+        sum(m.entries[i][s[i]] for i in range(n))
+        for s in itertools.permutations(range(n))
+        if all(m.entries[i][s[i]] is not None for i in range(n))
+    )
+    second = terms[-2] if len(terms) >= 2 else MINUS_INF
+    assert tdet_second(m) == second
+    if not terms:
+        assert tvol_square(m) is MINUS_INF
+    elif second is MINUS_INF:
+        assert tvol_square(m) is UNIQUE_GAP
+    else:
+        assert tvol_square(m) == terms[-1] - second
+
+
 def test_tvol_max_sub():
     m = TropMatrix.from_rows([[0, 2, 5], [1, 0, 0]])
     value, cols = tvol_max_sub(m)

@@ -7,6 +7,7 @@ fast paths cannot drift.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropevol.cells import enumerate_triangulation
-from tropevol.core import ScaledPermutationMatrix, TropMatrix, act, min_subset_sum
+from tropevol.core import (
+    ScaledPermutationMatrix,
+    TropMatrix,
+    act,
+    max_subset_sum,
+    min_subset_sum,
+)
 from tropevol.ehrhart import log_coefficient
 from tropevol.errors import CrossCheckError, ValidationError
 from tropevol.fixtures import (
@@ -27,6 +34,16 @@ from tropevol.fixtures import (
     fix_l,
     fix_prod,
     fix_tri,
+)
+from tropevol.linalg import (
+    assignment_normalize,
+    is_nonsingular,
+    kleene_star,
+    tdet,
+    tdet_second,
+    tminor,
+    tvol_max_sub,
+    tvol_square,
 )
 from tropevol.ratlp import lp_max_min_linear, simplex_max
 from tropevol.ratpoly import lagrange_interpolate
@@ -44,7 +61,6 @@ from tropevol.volumes import (
     tlvol_subsets,
     tlvol_triangulation,
     tropical_barycenter,
-    tvol_square,
 )
 
 
@@ -476,3 +492,192 @@ def test_discrete_surface_matches_sampled_log_coefficient() -> None:
         covered_twice += complex_.dim == m.rows and 2 in complex_.facet_cover_count.values()
     assert nones >= 20
     assert covered_twice >= 20
+
+
+# -- the report's single passes against the per-functional routes ----------
+
+
+def _seeded_mixed_matrices(seed: int, count: int):
+    """1-4 row matrices, square, wide and tall, some with -inf entries and
+    some with Fraction entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        cols = rng.randint(max(1, d - 1), d + 2 if d < 4 else d + 1)
+        kind = rng.choice(("int", "int", "inf", "fraction"))
+
+        def entry():
+            if kind == "inf" and rng.random() < 0.25:
+                return None
+            if kind == "fraction" and rng.random() < 0.4:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            return rng.randint(-2, 4)
+
+        yield TropMatrix.from_rows(
+            [[entry() for _ in range(cols)] for _ in range(d)],
+            allow_minus_inf_columns=True,
+        )
+
+
+def _tvol_by_subset_loop(m: TropMatrix):
+    """tvol and its witness: tvol_square on each d x d column subset."""
+    best = best_js = unique_js = None
+    for js in itertools.combinations(range(m.cols), m.rows):
+        val = tvol_square(m.submatrix_columns(js))
+        if val is None:
+            continue
+        if val is UNIQUE_GAP:
+            unique_js = unique_js or js
+        elif best is None or val > best:
+            best, best_js = val, js
+    return (UNIQUE_GAP, unique_js) if unique_js else (best, best_js)
+
+
+def _i_volume_by_trunk(complex_, i: int, key):
+    """First strict maximizer of key over the sorted i-trunk vertices."""
+    best = witness = None
+    for v in sorted(complex_.trunk(i).vertices()):
+        val = key(v, i)
+        if best is None or val > best:
+            best, witness = val, v
+    return best, witness
+
+
+def _barycenter_from_public_steps(m: TropMatrix):
+    """simplex_dtrunk_barycenter rebuilt from is_nonsingular and
+    assignment_normalize, each of which solves its own assignment."""
+    d = m.rows
+    abar = TropMatrix.from_rows([[0] * (d + 1)] + [list(row) for row in m.entries])
+    if not is_nonsingular(abar):
+        return None
+    na = assignment_normalize(abar)
+    star = kleene_star(na.matrix).entries
+    return tuple(
+        max(
+            star[i][j] - star[0][j] + na.u[i] - na.u[0]
+            for j in range(d + 1)
+            if star[i][j] is not None
+        )
+        for i in range(1, d + 1)
+    )
+
+
+def test_report_column_subset_pass_matches_the_separate_routes() -> None:
+    shapes = set()
+    for m in _seeded_mixed_matrices(1707, 300):
+        rep = build_volume_report(m)
+        if m.cols < m.rows:
+            shapes.add("tall")
+            assert (rep.qtvol_plus, rep.qtvol_plus_witness) == (None, None)
+            assert (rep.tvol, rep.tvol_witness) == (None, None)
+            continue
+        shapes.add("square" if m.cols == m.rows else "wide")
+        assert (rep.qtvol_plus, rep.qtvol_plus_witness) == qtvol_plus(m), m.entries
+        assert (rep.tvol, rep.tvol_witness) == _tvol_by_subset_loop(m), m.entries
+        assert tvol_max_sub(m) == _tvol_by_subset_loop(m), m.entries
+    assert shapes == {"tall", "square", "wide"}
+
+
+def test_report_i_volumes_match_brute_trunk_maxima() -> None:
+    checked = 0
+    for m in itertools.chain(
+        _seeded_negative_matrices(1708, 60),
+        _seeded_mixed_matrices(1709, 80),
+        [fix_4d(), fix_l(4), alcove_simplex((0, 2, 1))],
+    ):
+        if not (m.is_finite() and m.is_integer()):
+            continue
+        complex_ = enumerate_triangulation(m)
+        ivols = build_volume_report(m).i_volumes
+        assert sorted(ivols) == list(range(1, m.rows + 1))
+        for i, row in ivols.items():
+            plus = _i_volume_by_trunk(complex_, i, max_subset_sum)
+            minus = _i_volume_by_trunk(complex_, i, min_subset_sum)
+            assert (row["plus"], row["plus_witness"]) == plus, (m.entries, i)
+            assert (row["minus"], row["minus_witness"]) == minus, (m.entries, i)
+            assert tlvol_i_plus(complex_, i) == plus
+            assert tlvol_i_minus(complex_, i) == minus
+        if m.rows >= 2:
+            lower = _i_volume_by_trunk(complex_, m.rows - 1, min_subset_sum)[0]
+            upper = _i_volume_by_trunk(complex_, m.rows - 1, max_subset_sum)[0]
+            assert tlsurf(complex_) == (lower, upper)
+        checked += 1
+    assert checked >= 80
+
+
+def test_simplex_barycenter_matches_the_public_steps() -> None:
+    rng = random.Random(1710)
+    singular = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        kind = rng.choice(("int", "inf", "fraction"))
+        rows = []
+        for _ in range(d):
+            row = []
+            for _ in range(d + 1):
+                if kind == "inf" and rng.random() < 0.25:
+                    row.append(None)
+                elif kind == "fraction" and rng.random() < 0.4:
+                    row.append(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                else:
+                    row.append(rng.randint(-1, 2))
+            rows.append(row)
+        m = TropMatrix.from_rows(rows, allow_minus_inf_columns=True)
+        expected = _barycenter_from_public_steps(m)
+        singular += expected is None
+        assert simplex_dtrunk_barycenter(m) == expected, m.entries
+    assert 0 < singular < 400
+
+
+def test_column_subset_witnesses_are_the_first_subsets_in_order() -> None:
+    # Subsets (0, 2) and (1, 2) both attain determinant 1 and gap 1; (0, 1)
+    # has determinant 0 and a tie.  The lexicographically first wins both.
+    m = TropMatrix.from_rows([[0, 0, 1], [0, 0, 0]])
+    assert qtvol_plus(m) == (1, (0, 2))
+    assert tvol_max_sub(m) == (1, (0, 2))
+    rep = build_volume_report(m)
+    assert (rep.qtvol_plus, rep.qtvol_plus_witness) == (1, (0, 2))
+    assert (rep.tvol, rep.tvol_witness) == (1, (0, 2))
+
+
+def test_unique_gap_witness_is_the_first_unique_subset() -> None:
+    # (0, 1) has a numeric gap 0; (0, 2) and (1, 2) have one finite term each.
+    m = TropMatrix.from_rows([[0, 0, 0], [0, 0, None]])
+    assert tvol_max_sub(m) == (UNIQUE_GAP, (0, 2))
+    rep = build_volume_report(m)
+    assert (rep.tvol, rep.tvol_witness) == (UNIQUE_GAP, (0, 2))
+    assert (rep.qtvol_plus, rep.qtvol_plus_witness) == (0, (0, 1))
+
+
+def test_report_i_volume_witnesses_are_first_strict_maximizers() -> None:
+    # The alcove's vertices in sorted order are (0,0,0), (1,0,0), (1,1,0),
+    # (1,1,1).  The largest coordinate ties at 1 from (1,0,0) on, and the
+    # two largest tie at 2 from (1,1,0) on.
+    ivols = build_volume_report(alcove_simplex((0, 0, 0))).i_volumes
+    assert (ivols[1]["plus"], ivols[1]["plus_witness"]) == (1, (1, 0, 0))
+    assert (ivols[2]["plus"], ivols[2]["plus_witness"]) == (2, (1, 1, 0))
+    assert (ivols[1]["minus"], ivols[1]["minus_witness"]) == (1, (1, 1, 1))
+    assert (ivols[3]["plus"], ivols[3]["plus_witness"]) == (3, (1, 1, 1))
+
+
+def test_report_solves_one_assignment_per_simplex(monkeypatch: pytest.MonkeyPatch) -> None:
+    tdet_calls = _count_calls(monkeypatch, tdet)
+    avoided = [
+        _count_calls(monkeypatch, f) for f in (tminor, tdet_second, tvol_square)
+    ]
+    m = TropMatrix.from_rows([[0, 3, 1, 4, 2], [2, 0, 4, 1, 3], [1, 4, 0, 2, 3]])
+    for method in ("subsets", "triangulation", "both"):
+        tdet_calls.clear()
+        build_volume_report(m, method)
+        assert len(tdet_calls) <= 5, method  # C(5, 4) simplices
+        assert avoided == [[], [], []], method
+
+
+def test_column_subsets_past_the_expansion_limit() -> None:
+    # Past BRUTE_LIMIT rows the expansion is refused, unless the Hungarian
+    # solve shows that the subset has no finite term at all.
+    square = cube(9).submatrix_columns(range(9))
+    rep = build_volume_report(square)
+    assert (rep.qtvol_plus, rep.tvol, rep.tvol_witness) == (None, None, None)
+    with pytest.raises(ValidationError, match="second-best value limited to n <= 8"):
+        build_volume_report(cube(9))
