@@ -8,9 +8,17 @@ Two counting regimes share one polytope:
   fibre of the hull parallel to an axis is an interval, whose two ends have
   closed forms in the other coordinates, so the count sweeps the box one
   fibre along its longest axis at a time: work and memory are the box size
-  over the longest side, not the box size.
+  over the longest side, not the box size.  The scan runs on a sparse numpy
+  grid of the other coordinates, in int32 when every value fits (big**2 + 1
+  < 2**31, see count_maxtimes), else in int64 or in Python ints.
 * tropical: the count of b-power lattice points of the tropical dilate k (.) P
-  equals the max-times count at t = b**k.
+  equals the max-times count at t = b**k.  The max-times hull scales
+  linearly, so z lies in b**k * exp_b(P) iff b**(K-k) * z lies in
+  b**K * exp_b(P): the count at k is the number of points of the K scan on
+  the b**(K-k)-sublattice, read off its fibres.  So one scan, at the
+  largest k whose box fits the guard, gives every smaller dilate's count,
+  and the interpolation nodes of tropical_ehrhart_poly and the counts of
+  ehrhart_report all come from it.
 
 Counting is where entries must lie in Z>=0, because b**e is a lattice count
 only for e >= 0; triangulation itself takes any finite integer matrix.  Every
@@ -123,6 +131,81 @@ def counting_complex(arg, guard: int | None = None) -> CellComplex:
     return as_complex(arg, guard)
 
 
+def _box_size(m: TropMatrix, b: int, t: int) -> int:
+    """Integer points of the bounding box of t * exp_b(P): the scan's guard charge."""
+    return prod(max(0 if e is None else t * b ** e for e in row) + 1 for row in m.entries)
+
+
+def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
+    """(lo, hi): the fibre of t * exp_b(P) above each point of the grid.
+
+    The grid holds the coordinates other than the longest box axis a, one
+    array axis each; the fibre above a grid point is the interval
+    lo <= z_a <= hi, empty when hi < lo (see count_maxtimes for the bounds).
+    The grid is sparse (np.indices(sparse=True)) and the columns sit on one
+    first array axis, so every product z_k * w_kj and every quotient by w_aj
+    is taken on a 1-D axis, using floor(min_k x_k / w) = min_k floor(x_k / w),
+    and only the minima over k, the comparisons and the reductions over the
+    columns run on the full grid, one numpy call each for all columns.
+    """
+    n = m.cols
+    tb = [[0 if e is None else t * b ** e for e in row] for row in m.entries]
+    side = [max(row) for row in tb]
+    big = t * b ** (m.max_entry() or 0)
+    inf = big * big + 1  # above every z_i * w_ij, as z_i <= big and w_ij <= big
+    if inf < 2 ** 31:
+        dtype = _np.int32
+    elif big * big < 2 ** 62:
+        dtype = _np.int64
+    else:
+        dtype = object
+    a = side.index(max(side))
+    others = [i for i in range(m.rows) if i != a]
+
+    def col(values):  # one value per column, on the column axis
+        return _np.array(values, dtype).reshape((n,) + (1,) * len(others))
+
+    grid = _np.indices([side[i] + 1 for i in others], dtype=dtype, sparse=True)
+    grid = [z[None] for z in grid]
+    tb_a = col(tb[a])
+    w_a = col([big // e if e else 1 for e in tb[a]])
+    # z_i * w_ij on axis i, inf for a -inf entry
+    zw = [
+        _np.where(col(tb[i]) > 0, z * col([big // e if e else 0 for e in tb[i]]), inf)
+        for i, z in zip(others, grid)
+    ]
+    # c_j = min over k != a of z_k * w_kj
+    c = functools.reduce(_np.minimum, zw, inf)
+    # hi = max over j of min(c_j // w_aj, tb_aj); a -inf entry of row a gives 0
+    hi = functools.reduce(_np.minimum, [x // w_a for x in zw], tb_a).max(axis=0)
+    # lo starts at the least tb_aj over the columns j with c_j >= big
+    reach = [_np.where(x >= big, tb_a, inf) for x in zw]
+    bounds = [functools.reduce(_np.maximum, reach, tb_a).min(axis=0)]
+    for i, z, x in zip(others, grid, zw):
+        if not side[i]:
+            continue  # a -inf row only has z_i = 0, which bounds nothing
+        # row i needs z_a >= the least ceil(z_i * w_ij / w_aj) over the
+        # columns j with z_i <= tb_ij and c_j == z_i * w_ij.  At z_i = 0 that
+        # is 0 (c_j = 0 wherever tb_ij > 0), so no z_i > 0 mask is needed.
+        need = _np.where(tb_a > 0, -(-x // w_a), 0)
+        tight = _np.where(z <= col([e if e else -1 for e in tb[i]]), x, -1)
+        bounds.append(_np.where(c == tight, need, inf).min(axis=0))
+    lo = functools.reduce(_np.maximum, bounds)
+    return _np.asarray(lo, dtype), _np.asarray(hi, dtype)
+
+
+def _sublattice_count(lo, hi, s: int) -> int:
+    """Points of a box scan (the fibres lo, hi of _fibres) on the s-sublattice.
+
+    They lie in the fibres above the grid points whose coordinates are all
+    multiples of s (a strided view), and each such fibre holds
+    max(0, floor(hi / s) - ceil(lo / s) + 1) multiples of s.
+    """
+    view = (slice(None, None, s),) * hi.ndim
+    fibre = _np.maximum(hi[view] // s + (-lo[view]) // s + 1, 0)
+    return int(fibre.sum(dtype=None if fibre.dtype == object else _np.int64))
+
+
 def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> int:
     """#(t * exp_b(P) cap Z_{>=0}^d), exactly.
 
@@ -138,52 +221,24 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     z_i <= tb_ij and c_j == z_i * w_ij, and max lam >= big needs s >= the
     least tb_aj over j with c_j >= big (0 for an all -inf column).  The
     fibre holds max(0, hi - lo + 1) points, lo the largest lower bound.
-    The other coordinates form a numpy grid of box size / longest side
-    points, which bounds the memory; it holds int64 when big * big < 2**62
-    and Python ints otherwise.
+
+    The other coordinates form a sparse numpy grid of box size / longest
+    side points, which bounds the memory (see _fibres).  Every value is at
+    most big * big + 1, so the grid holds int32 when that is below 2**31,
+    int64 when big * big < 2**62 and Python ints otherwise; the fibre
+    lengths are summed in int64 or in Python ints.
+
+    The hull scales linearly: z lies in (t / s) * exp_b(P) iff s * z lies in
+    t * exp_b(P).  So for every divisor s of t, the count at t / s is the
+    number of this scan's points on the s-sublattice, which is how one scan
+    serves every dilate of an Ehrhart report (_dilate_counts).
     """
     check_base(b)
     if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValidationError(f"dilation factor must be a positive integer, got {t!r}")
     _check_counting_matrix(m, allow_minus_inf=True)
-    guard = resolve_guard(guard)
-    n = m.cols
-    tb = [[0 if e is None else t * b ** e for e in row] for row in m.entries]
-    hi = [max(row) for row in tb]
-    candidates = prod(h + 1 for h in hi)
-    check_guard(candidates, guard, "max-times box scan")
-    big = t * b ** (m.max_entry() or 0)
-    inf = big * big + 1  # above every z_i * w_ij, as z_i <= big and w_ij <= big
-    dtype = _np.int64 if big * big < 2 ** 62 else object
-    a = hi.index(max(hi))
-    others = [i for i in range(m.rows) if i != a]
-    size = candidates // (hi[a] + 1)
-    axes = _np.indices([hi[i] + 1 for i in others]).reshape(len(others), size)
-    grid = dict(zip(others, axes.astype(dtype)))
-    w = [[big // e if e else 0 for e in row] for row in tb]
-    c = [_np.full(size, inf, dtype) for _ in range(n)]
-    for k, zk in grid.items():
-        for j in range(n):
-            if tb[k][j]:
-                _np.minimum(c[j], zk * w[k][j], out=c[j])
-    top = _np.zeros(size, dtype)
-    for j in range(n):
-        if tb[a][j]:
-            _np.maximum(top, _np.minimum(c[j] // w[a][j], tb[a][j]), out=top)
-    # lo, the largest lower bound on s, starts at the one of max lam >= big
-    lo = _np.full(size, inf, dtype)
-    for j in range(n):
-        lo = _np.where(c[j] >= big, _np.minimum(lo, tb[a][j]), lo)
-    for i, zi in grid.items():
-        bound = _np.full(size, inf, dtype)
-        for j in range(n):
-            if tb[i][j]:
-                zw = zi * w[i][j]
-                need = -(-zw // w[a][j]) if tb[a][j] else 0
-                fits = (zi <= tb[i][j]) & (c[j] == zw)
-                bound = _np.where(fits, _np.minimum(bound, need), bound)
-        lo = _np.where(zi > 0, _np.maximum(lo, bound), lo)
-    return int(_np.maximum(top - lo + 1, 0).sum())
+    check_guard(_box_size(m, b, t), resolve_guard(guard), "max-times box scan")
+    return _sublattice_count(*_fibres(m, b, t), 1)
 
 
 def maxtimes_membership(
@@ -221,6 +276,42 @@ def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> i
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValidationError(f"k must be a nonnegative integer, got {k!r}")
     return count_maxtimes(m, b, b ** k, guard)
+
+
+def _dilate_counts(m: TropMatrix, b: int, top: int, guard: int) -> list:
+    """Tropical counts at k = 0..K, all read off one box scan at t = b**K.
+
+    K is the largest k <= top whose box fits the guard, found by walking up
+    from k = 0; the list is empty when not even k = 0 fits.  exp_b(P) scales
+    linearly, so z lies in b**k * exp_b(P) iff s * z lies in b**K * exp_b(P)
+    with s = b**(K - k): the count at k is that of the K scan's points on
+    the s-sublattice.
+    """
+    K = -1
+    while K < top and _box_size(m, b, b ** (K + 1)) <= guard:
+        K += 1
+    if K < 0:
+        return []
+    lo, hi = _fibres(m, b, b ** K)
+    return [_sublattice_count(lo, hi, b ** (K - k)) for k in range(K + 1)]
+
+
+def _scan_counter(top: int) -> Callable[[TropMatrix, int, int, int], int]:
+    """A counter for tropical_ehrhart_poly that scans the box once.
+
+    Its first call reads k = 0..K off one scan (_dilate_counts); later calls
+    with k <= K look their count up.  A k above K goes to count_tropical,
+    whose guard check raises the GuardExceeded of that k's box.
+    """
+    scanned = None
+
+    def count(m: TropMatrix, b: int, k: int, guard: int) -> int:
+        nonlocal scanned
+        if scanned is None:
+            scanned = _dilate_counts(m, b, top, guard)
+        return scanned[k] if k < len(scanned) else count_tropical(m, b, k, guard)
+
+    return count
 
 
 def count_classical_dilate(m: TropMatrix, k: int, guard: int | None = None) -> int:
@@ -492,13 +583,14 @@ def tropical_ehrhart_poly(
 
     The nodes b**0..b**d are distinct, so the Vandermonde system is regular
     and Lagrange interpolation is exact.  The prediction is verified against
-    one extra count at k = d+1 when that box fits under the guard.
+    one extra count at k = d+1 when that box fits under the guard.  Without
+    a counter, all d + 2 counts are read off one box scan (_scan_counter).
     """
     check_base(b)
     _check_counting_matrix(m, allow_minus_inf=False)
     guard = resolve_guard(guard)
-    count = counter or count_tropical
     d = m.rows
+    count = counter or _scan_counter(d + 1)
     pts = []
     for k in range(d + 1):
         pts.append((Fraction(b) ** k, count(m, b, k, guard)))
@@ -618,20 +710,19 @@ def log_coefficient(arg, i: int, guard: int | None = None) -> Optional[int]:
 
 
 def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -> dict:
-    """JSON-ready report: counts, interpolated and formula coefficients."""
+    """JSON-ready report: counts, interpolated and formula coefficients.
+
+    Every count, the interpolation nodes and the k = d + 1 check included,
+    comes off one box scan at the largest k <= max(kmax, d + 1) whose box
+    fits the guard; a larger k raises that k's GuardExceeded.
+    """
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     guard = resolve_guard(guard)
-    counted = {}
-
-    def count_once(m, b, k, guard):
-        if k not in counted:
-            counted[k] = count_tropical(m, b, k, guard)
-        return counted[k]
-
-    poly = tropical_ehrhart_poly(m, b, guard, counter=count_once)
+    count = _scan_counter(max(kmax, m.rows + 1))
+    poly = tropical_ehrhart_poly(m, b, guard, counter=count)
     formula = coeffs_via_formula(m, b, guard)
-    counts = [{"k": k, "value": count_once(m, b, k, guard)} for k in range(kmax + 1)]
+    counts = [{"k": k, "value": count(m, b, k, guard)} for k in range(kmax + 1)]
     return {
         "b": b,
         "coeffs": [str(format_entry(c)) for c in poly.coeffs],

@@ -55,7 +55,9 @@ EHRHART_L4_GOLDEN = """\
 """
 
 
-def _run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def _run(
+    *args: str, env: dict[str, str] | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     merged = dict(os.environ)
     if env:
         merged.update(env)
@@ -64,6 +66,7 @@ def _run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedP
         capture_output=True,
         text=True,
         env=merged,
+        timeout=timeout,
     )
 
 
@@ -246,6 +249,34 @@ def test_guard_flag_and_environment() -> None:
         env={"TROPEVOL_GUARD": "10"},
     )
     assert via_env.returncode == 3
+
+
+def test_ehrhart_huge_kmax_stops_at_the_first_box_past_the_guard() -> None:
+    # the one box scan walks k up from 0, so a huge kmax costs nothing: the
+    # first k whose box does not fit (k = 9) raises its own guard error
+    proc = _run("ehrhart", "--fixture", "L", "--l", "4", "--kmax", "1000000", timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "guard exceeded: max-times box scan needs about 16785409 steps, "
+        "guard is 10000000\n"
+    )
+
+
+def test_ehrhart_tight_guard_skips_only_the_verification() -> None:
+    # k = 3 (4225 steps) does not fit 2000: the counts at k = 0..2 and both
+    # coefficient routes are unchanged, the k = d + 1 check is skipped
+    tight = _run("ehrhart", "--fixture", "L", "--l", "4", "--guard", "2000", timeout=30)
+    assert tight.returncode == 0, tight.stderr
+    assert tight.stdout == _run("ehrhart", "--fixture", "L", "--l", "4").stdout
+    past = _run(
+        "ehrhart", "--fixture", "L", "--l", "4", "--kmax", "3", "--guard", "2000",
+        timeout=30,
+    )
+    assert past.returncode == 3
+    assert past.stderr == (
+        "guard exceeded: max-times box scan needs about 4225 steps, guard is 2000\n"
+    )
 
 
 def test_check_single_suite_text_and_json() -> None:

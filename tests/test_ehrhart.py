@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -358,17 +359,70 @@ def test_ehrhart_report_rejects_negative_kmax_before_counting(monkeypatch):
         ehrhart_report(fix_l(4), 2, -1)
 
 
-def test_ehrhart_report_counts_each_k_once(monkeypatch):
-    calls = []
+def _record_scans(monkeypatch):
+    """Record the t of every box scan and the k of every count_tropical call."""
+    scans, fallbacks = [], []
+    fibres, count = ehrhart._fibres, ehrhart.count_tropical
+
+    def scanning(m, b, t):
+        scans.append(t)
+        return fibres(m, b, t)
 
     def counting(m, b, k, guard=None):
-        calls.append(k)
-        return count_tropical(m, b, k, guard)
+        fallbacks.append(k)
+        return count(m, b, k, guard)
 
+    monkeypatch.setattr(ehrhart, "_fibres", scanning)
     monkeypatch.setattr(ehrhart, "count_tropical", counting)
+    return scans, fallbacks
+
+
+def test_ehrhart_report_scans_the_box_once(monkeypatch):
+    scans, fallbacks = _record_scans(monkeypatch)
     rep = ehrhart_report(fix_l(4), 2, 5)
-    assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+    assert scans == [2 ** 5]
+    assert fallbacks == []
     assert [c["value"] for c in rep["counts"]][:4] == L4_COUNTS[2]
+
+
+def test_ehrhart_report_scans_at_d_when_d_plus_one_does_not_fit(monkeypatch):
+    # the k = 3 box has 65**2 = 4225 points, past the guard; k = 2 has 1089
+    scans, fallbacks = _record_scans(monkeypatch)
+    rep = ehrhart_report(fix_l(4), 2, 2, guard=2000)
+    assert scans == [2 ** 2]
+    assert fallbacks == [3]  # the verification, skipped on its GuardExceeded
+    assert [c["value"] for c in rep["counts"]] == L4_COUNTS[2][:3]
+    assert rep["agree"] is True
+    poly = tropical_ehrhart_poly(fix_l(4), 2, guard=2000)
+    assert poly.verified_at is None and poly.coeffs == L4_COEFFS[2]
+
+
+def test_ehrhart_report_scans_once_above_d_plus_one(monkeypatch):
+    scans, fallbacks = _record_scans(monkeypatch)
+    rep = ehrhart_report(fix_l(4), 3, 4)
+    assert scans == [3 ** 4]
+    assert fallbacks == []
+    poly = L4_COEFFS[3]
+    assert [c["value"] for c in rep["counts"]] == [
+        poly_eval(poly, Fraction(3) ** k) for k in range(5)
+    ]
+    assert [c["value"] for c in rep["counts"]][:4] == L4_COUNTS[3]
+    # past the guard, the scan stops at k = 8 and k = 9 raises its own error
+    scans.clear()
+    with pytest.raises(GuardExceeded, match="needs about 16785409 steps"):
+        ehrhart_report(fix_l(4), 2, 10)
+    assert scans == [2 ** 8]
+    assert fallbacks == [9]
+
+
+def test_polynomial_reads_every_node_off_one_scan(monkeypatch):
+    scans, fallbacks = _record_scans(monkeypatch)
+    for b, coeffs in L4_COEFFS.items():
+        scans.clear()
+        poly = tropical_ehrhart_poly(fix_l(4), b)
+        assert scans == [b ** 3]
+        assert poly.coeffs == coeffs and poly.verified_at == 3
+    assert fallbacks == []
 
 
 def _chain_count_brute(gs, t, strict):
@@ -655,6 +709,71 @@ def test_fibre_count_of_segment_family_is_b_to_the_e():
     with pytest.raises(GuardExceeded, match="max-times box scan"):
         count_maxtimes(big, 2, 1)
     assert count_maxtimes(big, 2, 1, guard=2 ** 42) == 2 ** 40
+
+
+def _seeded_dilate_rows(rng):
+    """1-3 rows with -inf entries and all -inf columns; d = 1 has no grid axes."""
+    d, n = rng.randint(1, 3), rng.randint(1, 4)
+    rows = [
+        [None if rng.random() < 0.25 else rng.randint(0, 2) for _ in range(n)]
+        for _ in range(d)
+    ]
+    if rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = None
+    return rows
+
+
+def test_dilate_counts_match_a_scan_per_dilate():
+    rng = random.Random(8)
+    for _ in range(200):
+        rows = _seeded_dilate_rows(rng)
+        b = rng.choice((2, 3, 5))
+        m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
+        counts = ehrhart._dilate_counts(m, b, 3, 20_000)
+        assert counts, (rows, b)
+        for k, n in enumerate(counts):
+            assert n == count_maxtimes(m, b, b ** k), (rows, b, k)
+        # K is the largest k <= 3 whose box fits: the next one does not
+        if len(counts) <= 3:
+            with pytest.raises(GuardExceeded):
+                count_maxtimes(m, b, b ** len(counts), guard=20_000)
+
+
+def test_dilate_counts_match_box_scan_oracle_on_small_boxes():
+    rng = random.Random(9)
+    for _ in range(120):
+        rows = _seeded_dilate_rows(rng)
+        b = rng.choice((2, 3, 5))
+        m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
+        counts = ehrhart._dilate_counts(m, b, 2, 3_000)
+        assert counts == [_box_scan(rows, b, b ** k) for k in range(len(counts))], (rows, b)
+
+
+def test_dilate_counts_on_either_side_of_the_int32_grid():
+    # the segment from (1, 1) to (b**e, 1) holds t * (b**e - 1) + 1 points of
+    # its t-th dilate; big = b**(e + K) puts big**2 + 1 below or above 2**31
+    for b, e, dtype in ((2, 13, numpy.int32), (2, 14, numpy.int64), (3, 7, numpy.int32),
+                        (3, 8, numpy.int64)):
+        m = TropMatrix(((0, e), (0, 0)))
+        counts = ehrhart._dilate_counts(m, b, 2, 10 ** 7)
+        assert counts == [b ** k * (b ** e - 1) + 1 for k in range(3)], (b, e)
+        assert ehrhart._fibres(m, b, b ** 2)[0].dtype == dtype, (b, e)
+    # one row all -inf: the box is one fibre, so t can reach the boundary itself
+    edge = TropMatrix(((0, 0), (None, None)), allow_minus_inf_columns=True)
+    for t, dtype in ((46340, numpy.int32), (46341, numpy.int64)):
+        assert ehrhart._fibres(edge, 2, t)[0].dtype == dtype
+        assert count_maxtimes(edge, 2, t) == _box_scan([[0, 0], [None, None]], 2, t)
+
+
+def test_dilate_counts_on_python_ints_through_a_raised_guard():
+    # big * big >= 2**62: the grid holds Python ints; the k = 2 box,
+    # (2**42 + 1) * 5 points, is past the guard, so the scan runs at k = 1
+    m = TropMatrix(((0, 40), (0, 0)))
+    assert ehrhart._fibres(m, 2, 2)[0].dtype == object
+    assert ehrhart._dilate_counts(m, 2, 2, 2 ** 44) == [2 ** 40, 2 * (2 ** 40 - 1) + 1]
+    assert ehrhart._dilate_counts(m, 2, 2, 2 ** 40) == []
 
 
 @st.composite
