@@ -39,7 +39,6 @@ from .core import (
 from .ehrhart import (
     coefficient_in_b,
     coeffs_via_formula,
-    count_classical_dilate,
     count_maxtimes,
     count_tropical,
     count_via_cells,
@@ -104,7 +103,6 @@ __all__ = [
     "coefficient_in_b",
     "coeffs_via_formula",
     "contains",
-    "count_classical_dilate",
     "count_maxtimes",
     "count_tropical",
     "count_via_cells",

@@ -113,10 +113,6 @@ class AlcovedSimplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    @property
-    def top(self) -> tuple:
-        return self.vertices[-1]
-
     def blocks(self) -> tuple:
         """Supports of the chain increments, in chain order."""
         out = []
@@ -144,12 +140,6 @@ class AlcovedSimplex:
         if len(vs) > 1:
             for drop in range(len(vs)):
                 yield AlcovedSimplex(vs[:drop] + vs[drop + 1:])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "dim": self.dim,
-        }
 
 
 def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
@@ -271,48 +261,6 @@ class CellComplex:
         covered = {f.vertices for c in self.cells_of_dim(self.dim) for f in c.faces()}
         return all(c.vertices in covered for c in self.cells)
 
-    def trunk(self, i: int) -> "CellComplex":
-        """Downward closure of all cells of dimension >= i."""
-        if not 0 <= i <= self.ambient_dim:
-            raise ValidationError(f"trunk index {i} out of range")
-        keep = set()
-        for c in self.cells:
-            if c.dim >= i:
-                for f in c.faces():
-                    keep.add(f)
-        return CellComplex(self.ambient_dim, _sorted_cells(keep))
-
-    def labels(self) -> dict:
-        """Classify each cell: maximal / interior / boundary.
-
-        maximal: not a proper face of any stored cell (all top cells plus
-        tentacle tips of lower dimension).  interior: in the closure of the
-        top-dimensional part but not in the closure of its boundary, where the
-        boundary consists of the facets covered by exactly one top cell.
-        Closures of lower-dimensional maximal cells count as boundary too.
-        boundary: everything else.
-        """
-        top = self.dim
-        covered_by_higher = {
-            f.vertices for c in self.cells for f in c.faces() if f.dim < c.dim
-        }
-        maximal = {
-            c.vertices for c in self.cells if c.vertices not in covered_by_higher
-        }
-        boundary_closure = set(self._facet_boundary_closure)
-        for c in self.cells:
-            if c.dim < top and c.vertices in maximal:
-                boundary_closure.update(f.vertices for f in c.faces())
-        result: dict = {}
-        for c in self.cells:
-            if c.vertices in maximal:
-                result[c] = "maximal"
-            elif c.vertices in boundary_closure:
-                result[c] = "boundary"
-            else:
-                result[c] = "interior"
-        return result
-
     def interior_cells(self) -> list:
         """Cells not lying in the closure of the support's boundary.
 
@@ -324,16 +272,6 @@ class CellComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** c.dim for c in self.cells)
-
-    def to_json_list(self, with_labels: bool = True) -> list:
-        labels = self.labels() if with_labels else {}
-        out = []
-        for c in self.cells:
-            entry = c.to_json_dict()
-            if with_labels:
-                entry["label"] = labels[c]
-            out.append(entry)
-        return out
 
 
 def _sorted_cells(cells: Iterable[AlcovedSimplex]) -> tuple:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cells import enumerate_triangulation
 from .core import TropMatrix, check_base
-from .ehrhart import ehrhart_report, maxtimes_membership
+from .ehrhart import _fibre_axis, _fibres, ehrhart_report
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .fixtures import (
     alcove_simplex,
@@ -229,20 +229,19 @@ def _cmd_plot(args) -> int:
                 f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#1d3a5f"/>'
             )
 
-    # lattice dots: finite points of the base-b grid inside the box
+    # lattice dots: the base-b grid points in the box, red on exp_b(P)'s fibres
     if m.is_nonnegative():
         top1 = args.b ** max(m.entries[0])
         top2 = args.b ** max(m.entries[1])
         if top1 * top2 <= guard:
             logb = math.log(args.b)
-            member = maxtimes_membership(
-                [[args.b ** e for e in row] for row in m.entries], max(top1, top2)
-            )
+            a = _fibre_axis(m)
+            lo, hi = (ends.tolist() for ends in _fibres(m, args.b, 1))
             for n1 in range(1, top1 + 1):
                 for n2 in range(1, top2 + 1):
                     x = math.log(n1) / logb
                     y = math.log(n2) / logb
-                    inside = member((n1, n2))
+                    inside = lo[n2] <= n1 <= hi[n2] if a == 0 else lo[n1] <= n2 <= hi[n1]
                     px, py = place(x, y)
                     if inside:
                         parts.append(

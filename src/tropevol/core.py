@@ -27,7 +27,6 @@ from .errors import ValidationError
 MINUS_INF = None
 
 Entry = Optional[Union[int, Fraction]]
-Point = tuple  # tuple[Entry, ...]; kept loose, validated at runtime
 
 
 def as_entry(value) -> Entry:
@@ -45,10 +44,6 @@ def as_entry(value) -> Entry:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise ValidationError(f"not an exact tropical scalar: {value!r}")
-
-
-def is_finite(a: Entry) -> bool:
-    return a is not None
 
 
 def tadd(a: Entry, b: Entry) -> Entry:
@@ -171,9 +166,6 @@ class TropMatrix:
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -459,25 +451,6 @@ class ScaledPermutationMatrix:
             row[self.sigma[i]] = self.z[i]
             rows.append(tuple(row))
         return TropMatrix(tuple(rows))
-
-    def compose(self, other: "ScaledPermutationMatrix") -> "ScaledPermutationMatrix":
-        """self (x) other as matrices (apply other first)."""
-        if self.d != other.d:
-            raise ValidationError("dimension mismatch")
-        sigma = tuple(other.sigma[self.sigma[i]] for i in range(self.d))
-        z = tuple(tmul(self.z[i], other.z[self.sigma[i]]) for i in range(self.d))
-        return ScaledPermutationMatrix(sigma, z)
-
-    def inverse(self) -> "ScaledPermutationMatrix":
-        sigma_inv = [0] * self.d
-        for i, j in enumerate(self.sigma):
-            sigma_inv[j] = i
-        z = tuple(-self.z[sigma_inv[j]] for j in range(self.d))
-        return ScaledPermutationMatrix(tuple(sigma_inv), z)
-
-    def is_rotation(self) -> bool:
-        """Member of the volume-preserving group: entries sum to 0."""
-        return sum(self.z, 0) == 0
 
     def is_rotation_plus(self, i: int) -> bool:
         """The largest i-subset sum of the scaling vector is 0.

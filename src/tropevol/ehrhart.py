@@ -65,7 +65,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
 
-from .cells import AlcovedSimplex, CellComplex, as_complex, lattice_points
+from .cells import AlcovedSimplex, CellComplex, enumerate_triangulation
 from .core import TropMatrix, check_base, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
@@ -83,25 +83,6 @@ class TropicalEhrhartPolynomial:
     def evaluate(self, k: int) -> Fraction:
         return poly_eval(self.coeffs, Fraction(self.b) ** k)
 
-    def degree(self) -> int:
-        return poly_degree(self.coeffs)
-
-
-@dataclass(frozen=True)
-class ClassicalEhrhartPolynomial:
-    """Ehrhart polynomial of one b-scaled closed cell, in the dilation t."""
-
-    coeffs: tuple
-    dim: int
-
-    def evaluate(self, t) -> Fraction:
-        return poly_eval(self.coeffs, Fraction(t))
-
-    @property
-    def rvol(self) -> Fraction:
-        """Leading coefficient: the relative volume of the cell."""
-        return self.coeffs[self.dim]
-
 
 def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
     for row in m.entries:
@@ -118,17 +99,35 @@ def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
                 raise ValidationError(f"counting needs entries in {accepted}, got {e!r}")
 
 
-def counting_complex(arg, guard: int | None = None) -> CellComplex:
-    """The complex of a matrix with entries in Z>=0, or a complex in Z>=0^d.
-
-    A matrix is checked before it is triangulated.  A chain's base point is
-    its coordinatewise minimum, so a complex is checked on its base points.
-    """
+def _check_counting_arg(arg) -> None:
+    """counting_complex's checks, made before any triangulation.  A chain's
+    base point is its coordinatewise minimum, so a complex is checked on those."""
     if isinstance(arg, TropMatrix):
         _check_counting_matrix(arg, allow_minus_inf=False)
-    elif isinstance(arg, CellComplex) and any(min(c.base) < 0 for c in arg.cells):
+    elif not isinstance(arg, CellComplex):
+        raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
+    elif any(min(c.base) < 0 for c in arg.cells):
         raise ValidationError("counting needs cell vertices in Z>=0")
-    return as_complex(arg, guard)
+
+
+def counting_complex(arg, guard: int | None = None) -> CellComplex:
+    """The complex of a matrix with entries in Z>=0, or a complex in Z>=0^d."""
+    _check_counting_arg(arg)
+    return arg if isinstance(arg, CellComplex) else enumerate_triangulation(arg, guard)
+
+
+def _negative(value) -> bool:
+    """value < 0, and False where that comparison is undefined (a str, None)."""
+    try:
+        return bool(value < 0)
+    except TypeError:
+        return False
+
+
+def _check_exponent(value, name: str) -> None:
+    """The one rule for k, kmax and a dilation t: a non-bool int, at least 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _box_size(m: TropMatrix, b: int, t: int) -> int:
@@ -136,11 +135,19 @@ def _box_size(m: TropMatrix, b: int, t: int) -> int:
     return prod(max(0 if e is None else t * b ** e for e in row) + 1 for row in m.entries)
 
 
+def _fibre_axis(m: TropMatrix) -> int:
+    """The axis of _fibres: the longest box side, the first on ties.  Row i has
+    side t * b**(its largest entry), or 0 if all -inf, so it is the row with
+    the largest entry, whatever t and b are."""
+    tops = [max((e for e in row if e is not None), default=-1) for row in m.entries]
+    return tops.index(max(tops))
+
+
 def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
     """(lo, hi): the fibre of t * exp_b(P) above each point of the grid.
 
-    The grid holds the coordinates other than the longest box axis a, one
-    array axis each; the fibre above a grid point is the interval
+    The grid holds the coordinates other than the axis a = _fibre_axis(m),
+    one array axis each; the fibre above a grid point is the interval
     lo <= z_a <= hi, empty when hi < lo (see count_maxtimes for the bounds).
     The grid is sparse (np.indices(sparse=True)) and the columns sit on one
     first array axis, so every product z_k * w_kj and every quotient by w_aj
@@ -159,7 +166,7 @@ def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
         dtype = _np.int64
     else:
         dtype = object
-    a = side.index(max(side))
+    a = _fibre_axis(m)
     others = [i for i in range(m.rows) if i != a]
 
     def col(values):  # one value per column, on the column axis
@@ -211,7 +218,8 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
 
     At integer scale big = t * b**(max entry), with tb_ij = t * b**M_ij (0
     for -inf) and w_ij = big // tb_ij, the scaled residuation coefficients
-    of z are lam_j = min_i z_i * w_ij (see `maxtimes_membership`).  Fibres
+    of z are lam_j = min_i z_i * w_ij (membership read off them point by
+    point is the oracle of this scan in the tests: _box_scan).  Fibres
     of a tropical polytope parallel to an axis are intervals (Develin and
     Sturmfels, *Tropical convexity*, 2004).  On the fibre z_a = s along the
     longest box axis a, lam_j = min(c_j, s * w_aj) with c_j = min over
@@ -241,40 +249,9 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     return _sublattice_count(*_fibres(m, b, t), 1)
 
 
-def maxtimes_membership(
-    tb: Sequence[Sequence[int]], big: int
-) -> Callable[[Sequence[int]], bool]:
-    """Exact test for integer points z of the max-times hull of the columns of tb.
-
-    tb[i][j] is t * b**M_ij (0 for -inf) and every nonzero entry divides big.
-    The residuation coefficient of column j is min_i z_i / tb[i][j]; scaled by
-    big it is an integer.  z is in the hull iff recomposing with coefficients
-    capped at 1 gives z back and some coefficient reached 1, or an all -inf
-    column absorbs the cap.
-    """
-    d, n = len(tb), len(tb[0])
-    weights = [
-        [(i, big // tb[i][j]) for i in range(d) if tb[i][j]] for j in range(n)
-    ]
-    has_empty = not all(weights)
-
-    def member(z: Sequence[int]) -> bool:
-        lam = [min((z[i] * w for i, w in col), default=big) for col in weights]
-        if not has_empty and max(lam) < big:
-            return False
-        return all(
-            max((min(lam[j], big) * e for j, e in enumerate(row) if e), default=0)
-            == big * z[i]
-            for i, row in enumerate(tb)
-        )
-
-    return member
-
-
 def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> int:
     """Number of b-power lattice points of the tropical dilate k (.) P."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValidationError(f"k must be a nonnegative integer, got {k!r}")
+    _check_exponent(k, "k")
     return count_maxtimes(m, b, b ** k, guard)
 
 
@@ -312,18 +289,6 @@ def _scan_counter(top: int) -> Callable[[TropMatrix, int, int, int], int]:
         return scanned[k] if k < len(scanned) else count_tropical(m, b, k, guard)
 
     return count
-
-
-def count_classical_dilate(m: TropMatrix, k: int, guard: int | None = None) -> int:
-    """#(k * P cap Z^d) for the classical dilation of the hull.
-
-    k * tconv(M) = tconv(k * M), so this is the lattice point count of k * M.
-    """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    _check_counting_matrix(m, allow_minus_inf=False)
-    dilate = TropMatrix.from_rows([[k * e for e in row] for row in m.entries])
-    return len(lattice_points(dilate, guard))
 
 
 def cell_exponents(cell: AlcovedSimplex) -> tuple:
@@ -407,6 +372,7 @@ def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = No
     """#((b**(k+1) - b**k) * scaled open cell cap Z^d) by direct enumeration."""
     check_base(b)
     guard = resolve_guard(guard)
+    _check_exponent(k, "k")
     t = (b - 1) * b ** k
     return _chain_count(cell_weights(cell, b), t, True, guard)
 
@@ -415,8 +381,10 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
     """Lattice points of the t-th classical dilate of the b-scaled closed cell."""
     check_base(b)
     guard = resolve_guard(guard)
-    if t < 0:
-        raise ValidationError("dilation must be nonnegative")
+    if type(t) is not int or t < 0:  # a plain int >= 0, the hot case, passes
+        if _negative(t):
+            raise ValidationError("dilation must be nonnegative")
+        _check_exponent(t, "dilation")
     if t == 0:
         return 1
     return _chain_count(cell_weights(cell, b), t, False, guard)
@@ -427,9 +395,13 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
 
     The strict count at a fixed t depends only on the weights, so each
     distinct exponent tuple is counted once, on its first cell, and
-    multiplied by the number of cells that share it.
+    multiplied by the number of cells that share it.  The input, b and k
+    are checked before the triangulation.
     """
     guard = resolve_guard(guard)
+    _check_counting_arg(arg)
+    check_base(b)
+    _check_exponent(k, "k")
     complex_ = counting_complex(arg, guard)
     return sum(
         count * open_cell_count(cell, b, k, guard)
@@ -464,8 +436,8 @@ def _interpolation_table(m: int) -> tuple:
 
 def classical_ehrhart_scaled_simplex(
     cell: AlcovedSimplex, b: int, guard: int | None = None
-) -> ClassicalEhrhartPolynomial:
-    """Ehrhart polynomial of the b-scaled closed cell, by counting m+1 dilates.
+) -> tuple:
+    """Ehrhart coefficients c_0..c_m of the b-scaled closed cell, by counting m+1 dilates.
 
     The dilates counted are those of the cell translated by -s, where s is
     the smallest base coordinate over the increment blocks: its weights are
@@ -482,12 +454,9 @@ def classical_ehrhart_scaled_simplex(
     counts = [closed_cell_count(shifted, b, t, guard) for t in range(m + 1)]
     den = factorial(m)
     scale = b ** s
-    return ClassicalEhrhartPolynomial(
-        tuple(
-            Fraction(sum(w * y for w, y in zip(row, counts)) * scale ** i, den)
-            for i, row in enumerate(_interpolation_table(m))
-        ),
-        m,
+    return tuple(
+        Fraction(sum(w * y for w, y in zip(row, counts)) * scale ** i, den)
+        for i, row in enumerate(_interpolation_table(m))
     )
 
 
@@ -520,7 +489,7 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
     den = factorial(d)
     out = [0] * (d + 1)  # d! * c_i
     for cell, s, sums in classes.values():
-        coeffs = classical_ehrhart_scaled_simplex(_translate(cell, -s), b, guard).coeffs
+        coeffs = classical_ehrhart_scaled_simplex(_translate(cell, -s), b, guard)
         m = cell.dim
         for i in range(m + 1):
             c = coeffs[i]
@@ -714,11 +683,15 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
 
     Every count, the interpolation nodes and the k = d + 1 check included,
     comes off one box scan at the largest k <= max(kmax, d + 1) whose box
-    fits the guard; a larger k raises that k's GuardExceeded.
+    fits the guard; a larger k raises that k's GuardExceeded.  A negative
+    kmax is rejected first, any other non-int after the b and matrix checks.
     """
-    if kmax < 0:
+    if _negative(kmax):
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     guard = resolve_guard(guard)
+    check_base(b)
+    _check_counting_matrix(m, allow_minus_inf=False)
+    _check_exponent(kmax, "kmax")
     count = _scan_counter(max(kmax, m.rows + 1))
     poly = tropical_ehrhart_poly(m, b, guard, counter=count)
     formula = coeffs_via_formula(m, b, guard)

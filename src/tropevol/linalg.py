@@ -14,8 +14,8 @@ d x d column subset yields the best and the second-best term together, so
 a single sweep of the subsets (column_subset_volumes) gives both the
 dequantized volume qtvol+ (the best term is the determinant) and tvol (the
 gap between the two).  A simplex's one Hungarian solve serves both the
-uniqueness test and the normal form (the private helpers behind
-is_nonsingular and assignment_normalize take a solved AssignmentResult).
+uniqueness test and the normal form (_nonsingular_given and
+_normalize_given take a solved AssignmentResult).
 tminor keeps the Hungarian route and is the independent oracle for qtvol+.
 """
 
@@ -361,7 +361,7 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
     """Transitive closure of a normalized square matrix.
 
     Precondition: zero diagonal and nonpositive off-diagonal entries (the shape
-    produced by assignment_normalize).  Then the all-pairs longest path matrix
+    produced by _normalize_given).  Then the all-pairs longest path matrix
     is finite-safe and idempotent.
     """
     n = _require_square(a)
@@ -404,9 +404,13 @@ class NormalizedAssignment:
 
 
 def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignment:
-    """assignment_normalize for a matrix whose assignment res = tdet(a) is solved."""
+    """Permute columns by the solved assignment res = tdet(a) and subtract the duals.
+
+    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
+    <= 0 elsewhere whenever the determinant is finite.
+    """
     if res.value is None:
-        raise ValidationError("assignment_normalize needs a finite tropical determinant")
+        raise ValidationError("the assignment normal form needs a finite tropical determinant")
     n = a.rows
     rows = []
     for i in range(n):
@@ -418,15 +422,6 @@ def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignme
         rows.append(tuple(row))
     c = TropMatrix(tuple(rows), True)
     return NormalizedAssignment(c, res.sigma, res.u, res.v)
-
-
-def assignment_normalize(a: TropMatrix) -> NormalizedAssignment:
-    """Permute columns by the optimal assignment and subtract the duals.
-
-    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
-    <= 0 elsewhere whenever the determinant is finite.
-    """
-    return _normalize_given(a, tdet(a))
 
 
 def tminor(m: TropMatrix, i: int):

@@ -7,9 +7,11 @@ as a shell user would see them.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +384,70 @@ def test_plot_triangle_svg() -> None:
     proc = _run("plot", "--fixture", "tri", "--l", "3", "--k", "0")
     assert proc.returncode == 0
     assert "<polygon" in proc.stdout
+
+
+# sha256 of `plot` stdout, measured before the dots were read off the box
+# scan's fibres (they came from a point-by-point residuation test), so the
+# SVG bytes of every dot, red or grey, are pinned.  DELTA2 has negative
+# entries and so no dots, whatever the base.
+PLOT_SOURCES = {
+    "L-3": ["--fixture", "L", "--l", "3"],
+    "L-4": ["--fixture", "L", "--l", "4"],
+    "TRI-3-0": ["--fixture", "TRI", "--l", "3", "--k", "0"],
+    "TRI-3-2": ["--fixture", "TRI", "--l", "3", "--k", "2"],
+    "ALCOVE": ["--fixture", "ALCOVE"],
+    "DELTA2": ["--fixture", "DELTA2"],
+    "seed-0": 0,
+    "seed-1": 1,
+    "seed-2": 2,
+}
+PLOT_DIGESTS = {
+    "L-3-b2": "6ff496cd69671a4eb3063b010f0765001f7a520778153eb1ce78d5eb3566875e",
+    "L-3-b3": "d3ec075f139a1d160fafb9787a3031a7e9dc677f2a02d31e896e1744f26e5ddd",
+    "L-3-b5": "92947b2f24ecbbb321df1ca276adf861f57d3a26bd39443b2cefb4bffda91105",
+    "L-4-b2": "b9a1fbdc85c13e31f192b903c83d9405c99e0a2881a28a05a0b7da393a2765a1",
+    "L-4-b3": "93da8d45a761705e82a086b31a7086ff43cfaa73166f2191bf9a5f1f4ed3c899",
+    "L-4-b5": "06cf65f6b3ea94b9a8aa0264db627ba525ec7d6b0f0b8a682c47186c34da3821",
+    "TRI-3-0-b2": "2d7cc53667417566734a6da167ce7cf95f62dfc3517b1cfb7e987cceba319e62",
+    "TRI-3-0-b3": "291e84af021619a334c1e701a1334dee5463eb50fefe11c75cbe22cd9893e7a8",
+    "TRI-3-0-b5": "0c9f0ef2d47b7f5a3425403e8677962667b57aca2116a832f7173fc3e86600e1",
+    "TRI-3-2-b2": "934963d665ac1971d6a9a5d035dfc3ae29497e6494e7abee5a59dfca906e0a02",
+    "TRI-3-2-b3": "3a543eed8ad3da60a28d68fca2280400db55d07e0ff179bb3b455187b018cad2",
+    "TRI-3-2-b5": "954f63a3723d505b52e6f58eef39df060173b100647eb4b2c98ca26d9a779537",
+    "ALCOVE-b2": "0da48f6b73303d537c93dbc29685ee4e192e361381d00f1d9517e03a977ecc1d",
+    "ALCOVE-b3": "543c1d2f9dc673e1c0b244855b281ec50715ec39e1776ddaff82e64c10ca66f9",
+    "ALCOVE-b5": "cbb51b23385d444e5c52f597d04174a35569a3f84b7ef531db17d079d4bb7c4f",
+    "DELTA2-b2": "7776cb0ecc2c55022b29057715f927e11025febfc5d2030ca74fb2665fd2f234",
+    "DELTA2-b3": "7776cb0ecc2c55022b29057715f927e11025febfc5d2030ca74fb2665fd2f234",
+    "DELTA2-b5": "7776cb0ecc2c55022b29057715f927e11025febfc5d2030ca74fb2665fd2f234",
+    "seed-0-b2": "81d01f396312159b3dcaa633930e640556f22d436f7051301b0908e72d6d7487",
+    "seed-0-b3": "e2f5503eb13f07596cb92aac99b710935b95d1b09a67dd31cf3008b3f9e62105",
+    "seed-0-b5": "2ff930503995dcf9d4e04fb89f946f4edae267ce5bb47f3455fc21369b432dd4",
+    "seed-1-b2": "c685f6e086aa4e1fb892bba049c234a0784080365f2f538d5a090d39fd747548",
+    "seed-1-b3": "1b15b94ba3aacd3b993445c9170092e60ea1422ad9c457ca38261e5a2761ff86",
+    "seed-1-b5": "2b0d8dff0e603ee28d49e67aa9f3f8d20eb4d954e3c72f4aff95c7ddd0076bc0",
+    "seed-2-b2": "92bf846e1de144acbbf31c9761fdbcdd0ce6efcd02137b90f5934188e882f8bb",
+    "seed-2-b3": "0571382d034240c165471c8cf2da9d415968781b70c7fc8a28dd37ba62db8f26",
+    "seed-2-b5": "12bd6e5f5ef1744c6223698c7e7b9b1c1a0fc5ff6234b46635ed6836b9b78f1d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLOT_DIGESTS))
+def test_plot_bytes_are_pinned(
+    case: str, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    name, b = case.rsplit("-b", 1)
+    source = PLOT_SOURCES[name]
+    if isinstance(source, int):
+        # a seeded 2 x 3 matrix with entries in 0..3, given as --input
+        rng = random.Random(source)
+        rows = [[rng.randint(0, 3) for _ in range(3)] for _ in range(2)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 3, "entries": rows}))
+        source = ["--input", str(path)]
+    assert cli.main(["plot", *source, "--b", b]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PLOT_DIGESTS[case]
 
 
 def test_plot_rejects_higher_dimension() -> None:

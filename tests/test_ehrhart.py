@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropevol import cells, ehrhart
-from tropevol.cells import AlcovedSimplex, enumerate_triangulation
+from tropevol.cells import AlcovedSimplex, enumerate_triangulation, lattice_points
 from tropevol.core import TropMatrix, contains
 from tropevol.ehrhart import (
     _chain_count,
@@ -24,7 +24,6 @@ from tropevol.ehrhart import (
     closed_cell_count,
     coefficient_in_b,
     coeffs_via_formula,
-    count_classical_dilate,
     count_maxtimes,
     count_tropical,
     count_via_cells,
@@ -33,6 +32,7 @@ from tropevol.ehrhart import (
     log_coefficient,
     log_degree_bound,
     log_map,
+    open_cell_count,
     reciprocity_check,
     tropical_ehrhart_poly,
 )
@@ -102,7 +102,7 @@ def test_counting_error_names_only_the_accepted_entries():
     assert str(info.value) == "counting needs entries in Z>=0 (or -inf), got -1"
     # the chain-weight readers refuse -inf, so theirs must not
     for call in (
-        lambda: count_classical_dilate(negative, 1),
+        lambda: count_via_cells(negative, 2, 0),
         lambda: tropical_ehrhart_poly(negative, 2),
         lambda: coeffs_via_formula(fix_delta2(), 2),
     ):
@@ -150,10 +150,15 @@ def test_leading_coefficient_closed_form():
             assert c_top_leading(m, b) == tropical_ehrhart_poly(m, b).coeffs[-1]
 
 
+def _classical_dilate(m, k):
+    """k * tconv(M) = tconv(k * M): the classical dilate is a hull again."""
+    return TropMatrix.from_rows([[k * e for e in row] for row in m.entries])
+
+
 def test_classical_dilate_counts():
     m = fix_l(2)  # unimodular triangle
     for k in (1, 2, 3):
-        assert count_classical_dilate(m, k) == (k + 1) * (k + 2) // 2
+        assert len(lattice_points(_classical_dilate(m, k))) == (k + 1) * (k + 2) // 2
 
 
 def test_classical_dilate_matches_scan_of_the_dilated_box():
@@ -166,18 +171,16 @@ def test_classical_dilate_matches_scan_of_the_dilated_box():
         expected = sum(
             contains(m, tuple(Fraction(c, k) for c in z)) for z in itertools.product(*box)
         )
-        assert count_classical_dilate(m, k) == expected, (m.entries, k)
+        assert len(lattice_points(_classical_dilate(m, k))) == expected, (m.entries, k)
     with pytest.raises(GuardExceeded, match="bounding box scan"):
-        count_classical_dilate(fix_l(4), 2, guard=10)
+        lattice_points(_classical_dilate(fix_l(4), 2), guard=10)
 
 
 def test_scaled_cell_polynomial():
     # diagonal unit cell based at (1,1): after base-2 coordinate scaling the
     # segment runs to (2t, 2t) and carries 2t + 1 lattice points
     cell = AlcovedSimplex.from_chain([(1, 1), (2, 2)])
-    p = classical_ehrhart_scaled_simplex(cell, 2)
-    assert p.coeffs == (1, 2)
-    assert p.rvol == 2
+    assert classical_ehrhart_scaled_simplex(cell, 2) == (1, 2)
     assert cell_rvol(cell, 2) == 2
 
 
@@ -186,8 +189,8 @@ def test_cell_rvol_matches_polynomial_leading_coefficient():
         cx = enumerate_triangulation(m)
         for cell in cx.cells:
             for b in (2, 3):
-                p = classical_ehrhart_scaled_simplex(cell, b)
-                assert p.rvol == cell_rvol(cell, b)
+                coeffs = classical_ehrhart_scaled_simplex(cell, b)
+                assert coeffs[cell.dim] == cell_rvol(cell, b)
 
 
 def test_coefficient_homogeneity_under_translation():
@@ -359,6 +362,53 @@ def test_ehrhart_report_rejects_negative_kmax_before_counting(monkeypatch):
         ehrhart_report(fix_l(4), 2, -1)
 
 
+def test_exponents_follow_the_rule_of_count_tropical(monkeypatch):
+    # k, a dilation t and kmax are each a non-bool int, at least 0
+    m = fix_l(4)
+    cell = AlcovedSimplex.from_chain([(0, 0), (0, 1), (1, 1)])
+    for bad in (-1, True, False, 1.5, "1", None):
+        with pytest.raises(ValidationError, match=r"^k must be a nonnegative integer, got "):
+            count_via_cells(m, 2, bad)
+        with pytest.raises(ValidationError, match=r"^k must be a nonnegative integer, got "):
+            open_cell_count(cell, 2, bad)
+    assert str(_raised(count_via_cells, m, 2, True)) == "k must be a nonnegative integer, got True"
+    for bad in (True, False, 1.5, 0.0, "1", None):
+        message = f"dilation must be a nonnegative integer, got {bad!r}"
+        assert str(_raised(closed_cell_count, cell, 2, bad)) == message
+        message = f"kmax must be a nonnegative integer, got {bad!r}"
+        assert str(_raised(ehrhart_report, m, 2, bad)) == message
+    # a negative number keeps the message it always had
+    for bad in (-1, -1.5, Fraction(-1, 2)):
+        assert str(_raised(closed_cell_count, cell, 2, bad)) == "dilation must be nonnegative"
+        assert str(_raised(ehrhart_report, m, 2, bad)) == f"kmax must be nonnegative, got {bad}"
+    # count_via_cells checks k before it triangulates
+    monkeypatch.setattr(ehrhart, "enumerate_triangulation", None)
+    with pytest.raises(ValidationError, match=r"^k must be a nonnegative integer, got -1$"):
+        count_via_cells(m, 2, -1)
+
+
+def test_exponent_checks_keep_the_order_of_earlier_faults():
+    # an input with two faults still reports the one it reported before
+    negative = TropMatrix.from_rows([[0, -1], [0, 0]])
+    assert str(_raised(count_via_cells, negative, 2, -1)) == "counting needs entries in Z>=0, got -1"
+    assert str(_raised(count_via_cells, "m", 2, -1)) == "expected a matrix or cell complex, got str"
+    assert str(_raised(count_via_cells, fix_l(4), 1, -1)).startswith("base must be")
+    assert str(_raised(count_via_cells, fix_l(4), 2, -1, 0)).startswith("guard must be")
+    assert str(_raised(ehrhart_report, fix_l(4), 1, 1.5)).startswith("base must be")
+    assert str(_raised(ehrhart_report, negative, 2, 1.5)) == "counting needs entries in Z>=0, got -1"
+    assert str(_raised(ehrhart_report, fix_l(4), 2, 1.5, 0)).startswith("guard must be")
+    assert str(_raised(ehrhart_report, fix_l(4), 1, -1, 0)) == "kmax must be nonnegative, got -1"
+    cell = AlcovedSimplex.from_chain([(0, 0), (1, 1)])
+    assert str(_raised(open_cell_count, cell, 1, -1)).startswith("base must be")
+    assert str(_raised(closed_cell_count, cell, 1, 1.5)).startswith("base must be")
+
+
+def _raised(call, *args):
+    with pytest.raises(ValidationError) as info:
+        call(*args)
+    return info.value
+
+
 def _record_scans(monkeypatch):
     """Record the t of every box scan and the k of every count_tropical call."""
     scans, fallbacks = [], []
@@ -494,7 +544,7 @@ def test_scaled_simplex_matches_unshifted_interpolation():
             for b in (2, 3):
                 pts = [(t, closed_cell_count(cell, b, t)) for t in range(cell.dim + 1)]
                 want = lagrange_interpolate(pts)
-                assert classical_ehrhart_scaled_simplex(cell, b).coeffs == want, (cell, b)
+                assert classical_ehrhart_scaled_simplex(cell, b) == want, (cell, b)
 
 
 def test_interpolation_table_is_integral_and_matches_lagrange():
@@ -651,11 +701,41 @@ def test_chain_guard_names_stage_on_every_call():
     assert errors[0] == errors[1]
 
 
+def _maxtimes_membership(tb, big):
+    """Exact test for integer points z of the max-times hull of the columns of tb.
+
+    tb[i][j] is t * b**M_ij (0 for -inf) and every nonzero entry divides big.
+    The residuation coefficient of column j is min_i z_i / tb[i][j]; scaled by
+    big it is an integer.  z is in the hull iff recomposing with coefficients
+    capped at 1 gives z back and some coefficient reached 1, or an all -inf
+    column absorbs the cap.
+    """
+    d, n = len(tb), len(tb[0])
+    weights = [
+        [(i, big // tb[i][j]) for i in range(d) if tb[i][j]] for j in range(n)
+    ]
+    has_empty = not all(weights)
+
+    def member(z):
+        lam = [min((z[i] * w for i, w in col), default=big) for col in weights]
+        if not has_empty and max(lam) < big:
+            return False
+        return all(
+            max((min(lam[j], big) * e for j, e in enumerate(row) if e), default=0)
+            == big * z[i]
+            for i, row in enumerate(tb)
+        )
+
+    return member
+
+
 def _box_scan(rows, b, t):
-    # Oracle: the membership test of `tropevol plot` at every point of the box.
+    # Oracle: residuation membership (_maxtimes_membership) at every point of
+    # the box.  No library code uses that rule any more: the counts and the
+    # dots of `tropevol plot` both come off the fibres of ehrhart._fibres.
     tb = [[0 if e is None else t * b ** e for e in row] for row in rows]
     big = t * b ** max((e for row in rows for e in row if e is not None), default=0)
-    member = ehrhart.maxtimes_membership(tb, big)
+    member = _maxtimes_membership(tb, big)
     return sum(1 for z in itertools.product(*[range(max(r) + 1) for r in tb]) if member(z))
 
 

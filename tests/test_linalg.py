@@ -11,7 +11,7 @@ from tropevol.core import MINUS_INF, TropMatrix, tadd
 from tropevol.errors import ValidationError
 from tropevol.linalg import (
     UNIQUE_GAP,
-    assignment_normalize,
+    _normalize_given,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -218,7 +218,7 @@ def test_sign_genericity():
 
 def test_assignment_normalize():
     a = TropMatrix.from_rows([[0, 2], [1, 0]])
-    norm = assignment_normalize(a)
+    norm = _normalize_given(a, tdet(a))
     n = norm.matrix
     for i in range(2):
         assert n.entries[i][i] == 0

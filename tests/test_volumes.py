@@ -36,7 +36,7 @@ from tropevol.fixtures import (
     fix_tri,
 )
 from tropevol.linalg import (
-    assignment_normalize,
+    _normalize_given,
     is_nonsingular,
     kleene_star,
     tdet,
@@ -62,6 +62,8 @@ from tropevol.volumes import (
     tlvol_triangulation,
     tropical_barycenter,
 )
+
+from test_cells import trunk
 
 
 def _translate(m: TropMatrix, c: int) -> TropMatrix:
@@ -536,7 +538,7 @@ def _tvol_by_subset_loop(m: TropMatrix):
 def _i_volume_by_trunk(complex_, i: int, key):
     """First strict maximizer of key over the sorted i-trunk vertices."""
     best = witness = None
-    for v in sorted(complex_.trunk(i).vertices()):
+    for v in trunk(complex_, i).vertices():
         val = key(v, i)
         if best is None or val > best:
             best, witness = val, v
@@ -545,12 +547,12 @@ def _i_volume_by_trunk(complex_, i: int, key):
 
 def _barycenter_from_public_steps(m: TropMatrix):
     """simplex_dtrunk_barycenter rebuilt from is_nonsingular and
-    assignment_normalize, each of which solves its own assignment."""
+    _normalize_given on a fresh tdet, each of which solves its own assignment."""
     d = m.rows
     abar = TropMatrix.from_rows([[0] * (d + 1)] + [list(row) for row in m.entries])
     if not is_nonsingular(abar):
         return None
-    na = assignment_normalize(abar)
+    na = _normalize_given(abar, tdet(abar))
     star = kleene_star(na.matrix).entries
     return tuple(
         max(
