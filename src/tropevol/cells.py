@@ -314,13 +314,19 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     return CellComplex(d, _sorted_cells(cells))
 
 
+def ambient_dim(arg) -> int:
+    """d of a matrix (its rows) or of a cell complex, read without triangulating."""
+    if isinstance(arg, CellComplex):
+        return arg.ambient_dim
+    if isinstance(arg, TropMatrix):
+        return arg.rows
+    raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
+
+
 def as_complex(arg, guard: int | None = None) -> CellComplex:
     """The argument itself if it is a cell complex, else the matrix's triangulation."""
-    if isinstance(arg, CellComplex):
-        return arg
-    if isinstance(arg, TropMatrix):
-        return enumerate_triangulation(arg, guard)
-    raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
+    ambient_dim(arg)  # anything but a matrix or a complex is rejected
+    return arg if isinstance(arg, CellComplex) else enumerate_triangulation(arg, guard)
 
 
 def enumerate_triangulation_brute(m: TropMatrix, guard: int | None = None) -> CellComplex:

@@ -41,31 +41,34 @@ counted by a level-by-level prefix-sum DP whose cost and memory are the sum
 of the largest reachable value per level, about (g_1 + ... + g_m) * t, not
 the count itself.  Since count(c*g, t) = count(g, c*t), a cell whose
 smallest weight is b**s has the Ehrhart polynomial of its translate by -s
-(smallest weight 1) with coefficient i multiplied by b**(s*i).  The formula
-sum therefore tallies the cells by exponent tuple once, folds the tuples
-into classes by shifted tuple (exponents minus their smallest, s), and
-counts one polynomial per class.
-
-A class polynomial of an m-cell is read off its counts at t = 0..m through
-one integer table per m, m! times the inverse Vandermonde matrix of those
-nodes, and the formula sum adds d! * c_i in integers, forming the d + 1
-Fractions once.  That table, keyed by m alone, is the only state kept
-between calls: nothing is cached per cell, class or matrix, so a second
-call on the same input repeats every count.
+(smallest weight 1) with coefficient i multiplied by b**(s*i).  So every
+count reads a cell's exponent tuple alone: the formula sum, count_via_cells
+and the closed forms of c_d and c_{d-1} tally exponent tuples, and the
+formula sum folds them into classes by shifted tuple (exponents minus their
+smallest, s).  The class kernel _class_coeffs returns the integers m! * c_i
+of an m-cell class, read off its counts at t = 0..m through one integer
+table per m (m! times the inverse Vandermonde matrix of those nodes); the
+formula sum adds d! * c_i in integers and forms the d + 1 Fractions once.
+closed_cell_count, open_cell_count and classical_ehrhart_scaled_simplex are
+entry points onto the same kernels for one cell.  The table, keyed by m
+alone, is the only state kept between calls, so a second call on the same
+input repeats every count.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
 
-from .cells import AlcovedSimplex, CellComplex, enumerate_triangulation
+from .cells import AlcovedSimplex, CellComplex, ambient_dim, as_complex
 from .core import TropMatrix, check_base, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import check_guard, resolve_guard
@@ -102,10 +105,9 @@ def _check_counting_matrix(m: TropMatrix, allow_minus_inf: bool) -> None:
 def _check_counting_arg(arg) -> None:
     """counting_complex's checks, made before any triangulation.  A chain's
     base point is its coordinatewise minimum, so a complex is checked on those."""
+    ambient_dim(arg)  # anything but a matrix or a complex is rejected
     if isinstance(arg, TropMatrix):
         _check_counting_matrix(arg, allow_minus_inf=False)
-    elif not isinstance(arg, CellComplex):
-        raise ValidationError(f"expected a matrix or cell complex, got {type(arg).__name__}")
     elif any(min(c.base) < 0 for c in arg.cells):
         raise ValidationError("counting needs cell vertices in Z>=0")
 
@@ -113,7 +115,7 @@ def _check_counting_arg(arg) -> None:
 def counting_complex(arg, guard: int | None = None) -> CellComplex:
     """The complex of a matrix with entries in Z>=0, or a complex in Z>=0^d."""
     _check_counting_arg(arg)
-    return arg if isinstance(arg, CellComplex) else enumerate_triangulation(arg, guard)
+    return as_complex(arg, guard)
 
 
 def _negative(value) -> bool:
@@ -304,27 +306,14 @@ def cell_exponents(cell: AlcovedSimplex) -> tuple:
     )
 
 
-def _tally(cells) -> dict:
-    """Exponent tuple -> [number of cells with it, the first such cell]."""
-    tally: dict = {}
-    for cell in cells:
-        key = cell_exponents(cell)
-        entry = tally.get(key)
-        if entry is None:
-            tally[key] = [1, cell]
-        else:
-            entry[0] += 1
-    return tally
+def _tally(cells) -> Counter:
+    """Exponent tuple -> number of cells with it, in order of first appearance."""
+    return Counter(map(cell_exponents, cells))
 
 
 def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
     """Chain weights g_l = b**e_l, one per increment block."""
     return tuple(b ** e for e in cell_exponents(cell))
-
-
-def cell_rvol(cell: AlcovedSimplex, b: int) -> Fraction:
-    """Relative volume of the b-scaled closed cell: (prod g_l) / m!."""
-    return Fraction(prod(cell_weights(cell, b)), factorial(cell.dim))
 
 
 def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
@@ -381,10 +370,9 @@ def closed_cell_count(cell: AlcovedSimplex, b: int, t: int, guard: int | None = 
     """Lattice points of the t-th classical dilate of the b-scaled closed cell."""
     check_base(b)
     guard = resolve_guard(guard)
-    if type(t) is not int or t < 0:  # a plain int >= 0, the hot case, passes
-        if _negative(t):
-            raise ValidationError("dilation must be nonnegative")
-        _check_exponent(t, "dilation")
+    if _negative(t):
+        raise ValidationError("dilation must be nonnegative")
+    _check_exponent(t, "dilation")
     if t == 0:
         return 1
     return _chain_count(cell_weights(cell, b), t, False, guard)
@@ -394,26 +382,20 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     """Independent tropical count: sum of open-cell counts over the triangulation.
 
     The strict count at a fixed t depends only on the weights, so each
-    distinct exponent tuple is counted once, on its first cell, and
-    multiplied by the number of cells that share it.  The input, b and k
-    are checked before the triangulation.
+    distinct exponent tuple is counted once and multiplied by the number of
+    cells that share it.  The input, b and k are checked before the
+    triangulation.
     """
     guard = resolve_guard(guard)
     _check_counting_arg(arg)
     check_base(b)
     _check_exponent(k, "k")
-    complex_ = counting_complex(arg, guard)
+    complex_ = as_complex(arg, guard)
+    t = (b - 1) * b ** k
     return sum(
-        count * open_cell_count(cell, b, k, guard)
-        for count, cell in _tally(complex_.cells).values()
+        count * _chain_count(tuple(b ** e for e in exps), t, True, guard)
+        for exps, count in _tally(complex_.cells).items()
     )
-
-
-def _translate(cell: AlcovedSimplex, c: int) -> AlcovedSimplex:
-    """The cell moved by c * (1, ..., 1): every exponent moves by c."""
-    if not c:
-        return cell
-    return AlcovedSimplex(tuple(tuple(x + c for x in v) for v in cell.vertices))
 
 
 @functools.lru_cache(maxsize=None)
@@ -434,6 +416,17 @@ def _interpolation_table(m: int) -> tuple:
     return tuple(tuple(int(col[i] * scale) for col in cols) for i in range(m + 1))
 
 
+def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
+    """m! * c_0..m! * c_m, integers, for the b-scaled closed cell with exponents exps.
+
+    The c_i are the Ehrhart coefficients, read off the closed chain counts
+    at t = 0..m (t = 0 counts the one point 0) through _interpolation_table(m).
+    """
+    gs = tuple(b ** e for e in exps)
+    counts = [1] + [_chain_count(gs, t, False, guard) for t in range(1, len(gs) + 1)]
+    return tuple(sum(map(mul, row, counts)) for row in _interpolation_table(len(gs)))
+
+
 def classical_ehrhart_scaled_simplex(
     cell: AlcovedSimplex, b: int, guard: int | None = None
 ) -> tuple:
@@ -443,20 +436,17 @@ def classical_ehrhart_scaled_simplex(
     the smallest base coordinate over the increment blocks: its weights are
     those of the cell divided by b**s, and count(b**s * g, t) = count(g,
     b**s * t) turns coefficient i of its polynomial into coefficient i of
-    the cell's after multiplication by b**(s*i).  The coefficients are read
-    off the counts at t = 0..m through _interpolation_table(m).
+    the cell's after multiplication by b**(s*i).
     """
     check_base(b)
     guard = resolve_guard(guard)
-    m = cell.dim
-    s = min(cell_exponents(cell), default=0)
-    shifted = _translate(cell, -s)
-    counts = [closed_cell_count(shifted, b, t, guard) for t in range(m + 1)]
-    den = factorial(m)
+    exps = cell_exponents(cell)
+    s = min(exps, default=0)
     scale = b ** s
+    den = factorial(len(exps))
     return tuple(
-        Fraction(sum(w * y for w, y in zip(row, counts)) * scale ** i, den)
-        for i, row in enumerate(_interpolation_table(m))
+        Fraction(c * scale ** i, den)
+        for i, c in enumerate(_class_coeffs(tuple(e - s for e in exps), b, guard))
     )
 
 
@@ -469,33 +459,25 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
     the class e - s times b**(s*i) (see classical_ehrhart_scaled_simplex).
     So the cells are tallied by exponent tuple, and each shifted class keeps
     the integers sums[i] = sum over its tuples of count * b**(s*i).  One
-    polynomial per class, of its first cell translated by -s, then gives
-    its contribution (-1)**(m-i) * (b-1)**i * sums[i] * coefficient i.
-    Coefficient i of an m-cell has a denominator dividing m!, which divides
-    d!, so the contributions are summed exactly as the integers d! * c_i and
-    divided by d! once at the end.
+    call of _class_coeffs per class gives the integers m! * coefficient i,
+    and its contribution to d! * c_i is
+    (-1)**(m-i) * (b-1)**i * sums[i] * m! * coefficient i * d! / m!.
+    The d + 1 Fractions are formed once, at the end.
     """
-    classes: dict = {}  # shifted tuple -> (first cell, s, sums)
-    for exps, (count, cell) in _tally(cells).items():
+    classes: dict = {}  # shifted tuple -> sums
+    for exps, count in _tally(cells).items():
         s = min(exps, default=0)
-        shifted = tuple(e - s for e in exps)
-        entry = classes.get(shifted)
-        if entry is None:
-            entry = classes[shifted] = (cell, s, [0] * (len(exps) + 1))
+        sums = classes.setdefault(tuple(e - s for e in exps), [0] * (len(exps) + 1))
         scale = b ** s
-        sums = entry[2]
         for i in range(len(sums)):
             sums[i] += count * scale ** i
     den = factorial(d)
     out = [0] * (d + 1)  # d! * c_i
-    for cell, s, sums in classes.values():
-        coeffs = classical_ehrhart_scaled_simplex(_translate(cell, -s), b, guard)
-        m = cell.dim
-        for i in range(m + 1):
-            c = coeffs[i]
-            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * c.numerator * (
-                den // c.denominator
-            )
+    for shifted, sums in classes.items():
+        m = len(shifted)
+        per = den // factorial(m)
+        for i, c in enumerate(_class_coeffs(shifted, b, guard)):
+            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * c * per
     return tuple(Fraction(x, den) for x in out)
 
 
@@ -508,38 +490,34 @@ def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
 
 
 def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
-    """Leading coefficient c_d, closed form: (b-1)^d * sum of full-cell rvols."""
+    """Leading coefficient c_d, closed form: (b-1)**d * sum of b**(sum e) / d! over full cells."""
     check_base(b)
     complex_ = counting_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
-    total = Fraction(0)
-    for cell in complex_.cells_of_dim(d):
-        total += cell_rvol(cell, b)
-    return Fraction(b - 1) ** d * total
+    total = sum(b ** sum(cell_exponents(cell)) for cell in complex_.cells_of_dim(d))
+    return Fraction((b - 1) ** d * total, factorial(d))
 
 
 def weighted_facets(complex_: CellComplex) -> Iterator[tuple]:
-    """(delta, F) for the (d-1)-cells F of the complex with nonzero facet weight.
+    """(2 * delta, e) for the (d-1)-cells F with nonzero facet weight delta.
 
     delta = (2 - number of full cells covering F) / 2: none -> 1 (a tentacle
-    facet), one -> 1/2 (boundary), two -> 0 (interior wall, skipped).
+    facet), one -> 1/2 (boundary), two -> 0 (interior wall, skipped).  e is
+    F's exponent sum: b**e / (d-1)! is the relative volume of the b-scaled F.
     """
     for cell in complex_.cells_of_dim(complex_.ambient_dim - 1):
-        covers = complex_.facet_cover_count.get(cell.vertices, 0)
-        delta = Fraction(2 - covers, 2)
-        if delta:
-            yield delta, cell
+        twice = 2 - complex_.facet_cover_count.get(cell.vertices, 0)
+        if twice:
+            yield twice, sum(cell_exponents(cell))
 
 
 def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
-    """Second-highest coefficient: sum of delta * (b-1)**(d-1) * rvol over facets."""
+    """Second-highest coefficient: (b-1)**(d-1) * sum of delta * b**e / (d-1)! over facets."""
     check_base(b)
     complex_ = counting_complex(arg, resolve_guard(guard))
-    scale = Fraction(b - 1) ** (complex_.ambient_dim - 1)
-    return sum(
-        (delta * scale * cell_rvol(cell, b) for delta, cell in weighted_facets(complex_)),
-        Fraction(0),
-    )
+    d = complex_.ambient_dim
+    total = sum(twice * b ** e for twice, e in weighted_facets(complex_))
+    return Fraction((b - 1) ** (d - 1) * total, 2 * factorial(d - 1))
 
 
 def tropical_ehrhart_poly(
@@ -648,16 +626,25 @@ def log_degree_bound(arg) -> int:
     return arg.ambient_dim * (1 + top)
 
 
+def _check_index(arg, i) -> None:
+    """A coefficient index is a non-bool int in 0..d, d read off arg untriangulated."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= ambient_dim(arg):
+        raise ValidationError(f"coefficient index {i} out of range")
+
+
 def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
     """c_i at one base b, routed to the cheapest exact path available.
 
     i = 0 is the Euler characteristic, the top two indices have closed forms,
     anything in between falls back to the per-cell interpolation formula.
+    The input, i and b are checked, in that order, before the triangulation.
     """
-    complex_ = counting_complex(arg, resolve_guard(guard))
+    guard = resolve_guard(guard)
+    _check_counting_arg(arg)
+    _check_index(arg, i)
+    check_base(b)
+    complex_ = as_complex(arg, guard)
     d = complex_.ambient_dim
-    if not 0 <= i <= d:
-        raise ValidationError(f"coefficient index {i} out of range")
     if i == 0:
         return Fraction(complex_.euler_characteristic())
     if i == d:
@@ -670,7 +657,9 @@ def coefficient_in_b(arg, i: int, b: int, guard: int | None = None) -> Fraction:
 def log_coefficient(arg, i: int, guard: int | None = None) -> Optional[int]:
     """Log of the i-th coefficient of a matrix or its counting complex: its degree in b."""
     guard = resolve_guard(guard)
-    complex_ = counting_complex(arg, guard)
+    _check_counting_arg(arg)
+    _check_index(arg, i)
+    complex_ = as_complex(arg, guard)
     bound = log_degree_bound(complex_)
     samples = [
         (b, coefficient_in_b(complex_, i, b, guard)) for b in range(2, bound + 3)

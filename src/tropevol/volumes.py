@@ -37,9 +37,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cells import CellComplex, as_complex
+from .cells import CellComplex, ambient_dim, as_complex
 from .core import Entry, TropMatrix, format_entry, tsum
-from .ehrhart import cell_exponents, counting_complex, weighted_facets
+from .ehrhart import counting_complex, weighted_facets
 from .errors import CrossCheckError, ValidationError
 from .linalg import (
     UNIQUE_GAP,
@@ -191,12 +191,11 @@ def _i_volumes(complex_: CellComplex) -> dict:
 
 
 def _i_volume_row(arg, i: int, guard: int | None) -> dict:
-    """The i-th row of the i-volume table of the complex of arg."""
-    complex_ = as_complex(arg, guard)
-    d = complex_.ambient_dim
-    if not 1 <= i <= d:
+    """The i-th row of the i-volume table of the complex of arg; i is checked first."""
+    d = ambient_dim(arg)
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= d:
         raise ValidationError(f"i must be in 1..{d}, got {i}")
-    return _i_volumes(complex_)[i]
+    return _i_volumes(as_complex(arg, guard))[i]
 
 
 def tlvol_i_plus(arg, i: int, guard: int | None = None):
@@ -234,19 +233,18 @@ def cartesian_product(m: TropMatrix, n: TropMatrix) -> TropMatrix:
 
 def tlsurf(arg, guard: int | None = None) -> tuple:
     """(lower, upper) tropical surface area: the (d-1)-volumes."""
-    complex_ = as_complex(arg, guard)
-    d = complex_.ambient_dim
+    d = ambient_dim(arg)
     if d - 1 < 1:
         raise ValidationError("surface areas need dimension at least 2")
-    row = _i_volumes(complex_)[d - 1]
+    row = _i_volume_row(arg, d - 1, guard)
     return row["minus"], row["plus"]
 
 
 def discrete_surface(arg, guard: int | None = None) -> Optional[int]:
     """Log c_{d-1} from the facet weights (module docstring); None if c_{d-1} = 0."""
     complex_ = counting_complex(arg, guard)
-    exps = [sum(cell_exponents(cell)) for _, cell in weighted_facets(complex_)]
-    return complex_.ambient_dim - 1 + max(exps) if exps else None
+    top = max((e for _, e in weighted_facets(complex_)), default=None)
+    return None if top is None else complex_.ambient_dim - 1 + top
 
 
 def _fmt_value(v) -> str:

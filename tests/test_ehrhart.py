@@ -18,7 +18,6 @@ from tropevol.ehrhart import (
     _chain_count,
     c_dminus1_direct,
     c_top_leading,
-    cell_rvol,
     cell_weights,
     classical_ehrhart_scaled_simplex,
     closed_cell_count,
@@ -145,9 +144,23 @@ def test_unit_alcove_coefficients():
 
 
 def test_leading_coefficient_closed_form():
+    # c_d and c_(d-1) by their closed forms against interpolation; on
+    # translates by s, against the formula sum and against c_i * b**(s*i)
     for m in (fix_l(4), fix_tri(3, 1), alcove_simplex((1, 2))):
-        for b in (2, 3):
-            assert c_top_leading(m, b) == tropical_ehrhart_poly(m, b).coeffs[-1]
+        d = m.rows
+        for b in (2, 3, 5):
+            coeffs = tropical_ehrhart_poly(m, b).coeffs
+            assert c_top_leading(m, b) == coeffs[-1]
+            assert c_dminus1_direct(m, b) == coeffs[-2]
+            for s in (1, 3):
+                moved = m.translate(s)
+                formula = coeffs_via_formula(moved, b)
+                assert c_top_leading(moved, b) == formula[-1] == coeffs[-1] * b ** (s * d)
+                assert (
+                    c_dminus1_direct(moved, b)
+                    == formula[-2]
+                    == coeffs[-2] * b ** (s * (d - 1))
+                )
 
 
 def _classical_dilate(m, k):
@@ -176,12 +189,17 @@ def test_classical_dilate_matches_scan_of_the_dilated_box():
         lattice_points(_classical_dilate(fix_l(4), 2), guard=10)
 
 
+def _cell_rvol(cell, b):
+    """Oracle: the relative volume of the b-scaled closed cell, (prod g_l) / m!."""
+    return Fraction(math.prod(cell_weights(cell, b)), math.factorial(cell.dim))
+
+
 def test_scaled_cell_polynomial():
     # diagonal unit cell based at (1,1): after base-2 coordinate scaling the
     # segment runs to (2t, 2t) and carries 2t + 1 lattice points
     cell = AlcovedSimplex.from_chain([(1, 1), (2, 2)])
     assert classical_ehrhart_scaled_simplex(cell, 2) == (1, 2)
-    assert cell_rvol(cell, 2) == 2
+    assert _cell_rvol(cell, 2) == 2
 
 
 def test_cell_rvol_matches_polynomial_leading_coefficient():
@@ -190,7 +208,7 @@ def test_cell_rvol_matches_polynomial_leading_coefficient():
         for cell in cx.cells:
             for b in (2, 3):
                 coeffs = classical_ehrhart_scaled_simplex(cell, b)
-                assert coeffs[cell.dim] == cell_rvol(cell, b)
+                assert coeffs[cell.dim] == _cell_rvol(cell, b)
 
 
 def test_coefficient_homogeneity_under_translation():
@@ -318,6 +336,27 @@ def test_log_degree_bound(monkeypatch):
     assert log_degree_bound(TropMatrix.from_rows([[-1, None], [0, 1]])) == 2 * (1 + 1)
 
 
+def test_coefficient_routes_check_b_and_the_index_before_triangulating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("triangulated before the arguments were checked")
+
+    cx = enumerate_triangulation(fix_l(4))
+    monkeypatch.setattr(cells, "enumerate_triangulation", refuse)
+    negative = TropMatrix.from_rows([[0, -1], [0, 0]])
+    for arg in (fix_l(4), cx):
+        for bad_b in (1, True, 2.0):
+            assert str(_raised(coefficient_in_b, arg, 0, bad_b)).startswith("base must be")
+        for bad_i in (True, False, -1, 3, 9, 1.0, "1", None):
+            message = f"coefficient index {bad_i} out of range"
+            assert str(_raised(coefficient_in_b, arg, bad_i, 2, 1)) == message
+            assert str(_raised(coefficient_in_b, arg, bad_i, 1)) == message
+            assert str(_raised(log_coefficient, arg, bad_i, 1)) == message
+    # the input is still checked first, and the guard before it
+    assert str(_raised(coefficient_in_b, negative, 9, 1)) == "counting needs entries in Z>=0, got -1"
+    assert str(_raised(log_coefficient, "m", 9)) == "expected a matrix or cell complex, got str"
+    assert str(_raised(coefficient_in_b, negative, 9, 1, 0)).startswith("guard must be")
+
+
 def test_log_coefficients_frozen():
     assert log_coefficient(fix_tri(3, 0), 1) == 3
     assert log_coefficient(fix_tri(3, 1), 1) == 3
@@ -382,7 +421,7 @@ def test_exponents_follow_the_rule_of_count_tropical(monkeypatch):
         assert str(_raised(closed_cell_count, cell, 2, bad)) == "dilation must be nonnegative"
         assert str(_raised(ehrhart_report, m, 2, bad)) == f"kmax must be nonnegative, got {bad}"
     # count_via_cells checks k before it triangulates
-    monkeypatch.setattr(ehrhart, "enumerate_triangulation", None)
+    monkeypatch.setattr(cells, "enumerate_triangulation", None)
     with pytest.raises(ValidationError, match=r"^k must be a nonnegative integer, got -1$"):
         count_via_cells(m, 2, -1)
 
@@ -568,19 +607,19 @@ def test_interpolation_table_is_integral_and_matches_lagrange():
 def test_formula_calls_keep_no_state_between_calls(monkeypatch):
     # every call repeats its own counts: only the per-dimension table is cached
     calls = []
-    closed = ehrhart.closed_cell_count
+    chain = ehrhart._chain_count
 
-    def counting(cell, b, t, guard=None):
-        calls.append((cell, t))
-        return closed(cell, b, t, guard)
+    def counting(gs, t, strict, guard):
+        calls.append((gs, t, strict))
+        return chain(gs, t, strict, guard)
 
-    monkeypatch.setattr(ehrhart, "closed_cell_count", counting)
+    monkeypatch.setattr(ehrhart, "_chain_count", counting)
     cx = enumerate_triangulation(fix_l(4).translate(3))
     first = coeffs_via_formula(cx, 2)
-    made = len(calls)
+    made = list(calls)
     calls.clear()
     assert coeffs_via_formula(cx, 2) == first
-    assert made > 0 and len(calls) == made
+    assert made and calls == made
 
 
 def _plain_formula_sum(cells, d, b):
@@ -646,13 +685,13 @@ def test_class_sum_matches_plain_cell_sum_on_seeded_translates(monkeypatch):
     # Translating by s adds s to every exponent, so raw tuples of different
     # translates fall into the same shifted class; one polynomial per class.
     calls = []
-    scaled = ehrhart.classical_ehrhart_scaled_simplex
+    kernel = ehrhart._class_coeffs
 
-    def counting(cell, b, guard=None):
-        calls.append(cell)
-        return scaled(cell, b, guard)
+    def counting(exps, b, guard):
+        calls.append(exps)
+        return kernel(exps, b, guard)
 
-    monkeypatch.setattr(ehrhart, "classical_ehrhart_scaled_simplex", counting)
+    monkeypatch.setattr(ehrhart, "_class_coeffs", counting)
     rng = random.Random(1912)
     for _ in range(30):
         m = _seeded_small_matrix(rng)
@@ -671,7 +710,7 @@ def test_class_sum_matches_plain_cell_sum_on_seeded_translates(monkeypatch):
                 for b in (2, 3, 5):
                     calls.clear()
                     got = route(cx, b)
-                    assert len(calls) == len(shifted), (m.entries, s, b)
+                    assert sorted(calls) == sorted(shifted), (m.entries, s, b)
                     assert work.setdefault((route, b), len(calls)) == len(calls)
                     assert got == _plain_formula_sum(cells_, d, b), (m.entries, s, b)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropevol import cells
 from tropevol.cells import enumerate_triangulation
 from tropevol.core import (
     ScaledPermutationMatrix,
@@ -211,6 +212,25 @@ def test_i_volume_index_bounds() -> None:
             tlvol_i_plus(m, i)
         with pytest.raises(ValidationError):
             tlvol_i_minus(m, i)
+
+
+def test_i_volume_index_is_checked_before_triangulating(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("triangulated before the index was checked")
+
+    cx = enumerate_triangulation(fix_l(4))
+    monkeypatch.setattr(cells, "enumerate_triangulation", refuse)
+    for arg in (fix_l(4), cx):
+        for i in (0, 3, True, 1.0, "1"):
+            for route in (tlvol_i_plus, tlvol_i_minus):
+                with pytest.raises(ValidationError) as info:
+                    route(arg, i, guard=1)
+                assert str(info.value) == f"i must be in 1..2, got {i}"
+    for arg in (TropMatrix.from_rows([[0, 3]]), "m"):
+        with pytest.raises(ValidationError, match="dimension at least 2|got str"):
+            tlsurf(arg, guard=1)
 
 
 def test_i_volume_translation_law() -> None:
