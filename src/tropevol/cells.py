@@ -9,9 +9,25 @@ their vertex chain; since tropical polytopes are tropically convex and
 closed, an open cell lies inside a hull P iff all its chain vertices do.
 Enumeration therefore reduces to: collect the lattice points of P, one
 axis-parallel fibre at a time, each an interval with closed-form ends (see
-lattice_points), then walk all increment chains through that set.  Every chain
-is uniquely determined by its vertex set, so the vertex tuple, in chain
+lattice_points), then list the increment chains through that set.  Every
+chain is uniquely determined by its vertex set, so the vertex tuple, in chain
 order, is the canonical key and no deduplication is needed.
+
+A cell is a base point p with a chain 0 < S_1 < ... < S_m of coordinate
+sets, its vertices p + 1_(S_l).  Which chains exist at p depends only on
+p's cube pattern, the sets S with p + 1_S in P, and those sets are closed
+under union because P is tropically convex (Develin and Sturmfels,
+*Tropical convexity*, 2004).  So the complex stores, per lattice point,
+the ChainShapes of its pattern: each chain as its block masks
+S_l minus S_(l-1), walked once per distinct pattern and shared by every point
+that has it.  The tables the counting and volume layers need (exponent
+tuples, the largest cell at each vertex, facet cover counts, the Euler
+characteristic, the bases of the top cells) are read off the shapes, a
+table of minima per point giving each block's exponent.  AlcovedSimplex
+objects are built only when a caller asks for CellComplex.cells, because
+only the cell-by-cell consumers need them (the interior and purity tests,
+the plot, the self-checks and the oracles) and building them costs about
+as much as the walk itself.
 
 Any finite integer matrix is accepted.  Chains, lattice points and
 membership all commute with translation by c * (1, ..., 1), so the cells of
@@ -28,11 +44,13 @@ saying which of the d+1 nested prefix steps are strict.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
@@ -204,12 +222,157 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
     return pts
 
 
-@dataclass(frozen=True)
-class CellComplex:
-    """The canonical triangulation of one hull: every open cell inside it."""
+@functools.lru_cache(maxsize=None)
+def _units(d: int) -> tuple:
+    """The 0/1 vector 1_S of every coordinate set S of [d], indexed by its mask."""
+    return tuple(tuple(S >> i & 1 for i in range(d)) for S in range(1 << d))
 
-    ambient_dim: int
-    cells: tuple
+
+def _minima(p: tuple) -> list:
+    """low[S]: the smallest coordinate of p over the set S, for every nonempty mask S.
+
+    Coordinate i fills the masks whose highest bit is i: low[S + 2**i] is
+    min(low[S], p_i) for S < 2**i, with low[0] = +inf.
+    """
+    low = [float("inf")]
+    for x in p:
+        low += [y if y < x else x for y in low]
+    return low
+
+
+class ChainShapes:
+    """The cells based at one lattice point, as chains of coordinate sets.
+
+    by_dim[k] holds each k-cell at the point as the tuple of its block masks
+    S_1, S_2 minus S_1, ..., S_k minus S_(k-1), in vertex order, and ends at the
+    largest dimension present.  Points with the same cube pattern share one
+    instance, so the tables cached here are built once per pattern.
+    """
+
+    def __init__(self, by_dim: list):
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
+        self.by_dim = tuple(map(tuple, by_dim))
+        self.size = sum(map(len, by_dim))
+
+    @cached_property
+    def reach(self) -> dict:
+        """Set S -> the largest dimension of a cell here with vertex p + 1_S.
+
+        Vertex l of a chain is p + 1_(S_l), S_l the union of its first l
+        blocks; the base p (S = 0) lies on every chain.
+        """
+        out = {0: len(self.by_dim) - 1}
+        for k, chains in enumerate(self.by_dim):
+            out.update((S, k) for blocks in chains for S in itertools.accumulate(blocks, or_))
+        return out
+
+    @cached_property
+    def inner_facets(self) -> list:
+        """The facets of the chains of the largest dimension here that keep the base.
+
+        Dropping vertex l of a chain with blocks B_1..B_m drops B_m for
+        l = m and merges B_l and B_(l+1) for 0 < l < m.
+        """
+        return [
+            facet
+            for b in self.by_dim[-1]
+            for facet in (
+                b[:-1],
+                *(b[:l - 1] + (b[l - 1] | b[l],) + b[l + 1:] for l in range(1, len(b))),
+            )
+        ]
+
+    @cached_property
+    def euler(self) -> int:
+        return sum((-1) ** k * len(chains) for k, chains in enumerate(self.by_dim))
+
+
+def _pattern_shapes(pattern: int, d: int, limit: int) -> ChainShapes:
+    """The chains of one cube pattern: bit S is set iff p + 1_S is in the hull.
+
+    The sets present are closed under union, since the hull is tropically
+    convex, and a chain 0 < S_1 < ... < S_k runs through present sets only.
+    Two chains at one base compare as their vertex tuples do, that is as
+    the 0/1 vectors of S_1, S_2, ... in turn, so a depth-first walk that
+    tries the sets in the order of their vectors lists each dimension in
+    vertex order.  The walk stops after limit + 1 chains, which trips the
+    caller's guard.
+    """
+    present = sorted(
+        (S for S in range(1, 1 << d) if pattern >> S & 1), key=_units(d).__getitem__
+    )
+    by_dim = [[] for _ in range(d + 1)]
+    made = 0
+
+    def walk(top, blocks):
+        nonlocal made
+        if made > limit:
+            return
+        made += 1
+        by_dim[len(blocks)].append(blocks)
+        for S in present:
+            if S & top == top and S != top:
+                walk(S, blocks + (S ^ top,))
+
+    walk(0, ())
+    return ChainShapes(by_dim)
+
+
+class CellComplex:
+    """The canonical triangulation of one hull: every open cell inside it.
+
+    shapes maps each base point, in sorted order, to the ChainShapes of the
+    cells based there.  The tables the counting and volume layers read (the
+    exponent tally, the vertex table, the cover counts, the Euler
+    characteristic, the bases of the top cells) come off the shapes.  cells
+    builds the AlcovedSimplex objects on first use, for the callers that
+    walk cells one by one: by_dim, is_pure, interior_cells, the plot and
+    the self-checks.
+    """
+
+    def __init__(self, ambient_dim: int, cells: Iterable[AlcovedSimplex]):
+        """The complex of the given cells, in any order."""
+        units = _units(ambient_dim)
+
+        def vertex_order(blocks):
+            return tuple(units[S] for S in itertools.accumulate(blocks, or_))
+
+        grouped: dict = {}
+        for c in cells:
+            vs = c.vertices
+            blocks = tuple(
+                sum(1 << i for i, (a, b) in enumerate(zip(prev, cur)) if a != b)
+                for prev, cur in zip(vs, vs[1:])
+            )
+            chains = grouped.setdefault(vs[0], [[] for _ in range(ambient_dim + 1)])
+            chains[len(blocks)].append(blocks)
+        self.ambient_dim = ambient_dim
+        self.shapes = {
+            p: ChainShapes([sorted(chains, key=vertex_order) for chains in grouped[p]])
+            for p in sorted(grouped)
+        }
+
+    @classmethod
+    def _of_shapes(cls, ambient_dim: int, shapes: dict) -> "CellComplex":
+        cx = cls.__new__(cls)
+        cx.ambient_dim = ambient_dim
+        cx.shapes = shapes
+        return cx
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Every open cell, sorted by (dim, vertices)."""
+        units = _units(self.ambient_dim)
+        by_dim = [[] for _ in range(self.dim + 1)]
+        for p, sh in self.shapes.items():
+            at = [tuple(map(add, p, u)) for u in units]  # at[S] = p + 1_S
+            for out, chains in zip(by_dim, sh.by_dim):
+                out.extend(
+                    AlcovedSimplex((p, *map(at.__getitem__, itertools.accumulate(blocks, or_))))
+                    for blocks in chains
+                )
+        return tuple(itertools.chain.from_iterable(by_dim))
 
     @cached_property
     def by_dim(self) -> dict:
@@ -218,33 +381,104 @@ class CellComplex:
             out.setdefault(c.dim, []).append(c)
         return out
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return max(self.by_dim) if self.cells else -1
+        return max((len(sh.by_dim) for sh in self.shapes.values()), default=0) - 1
 
     def cells_of_dim(self, k: int) -> list:
         return list(self.by_dim.get(k, []))
 
     def vertices(self) -> list:
-        return sorted(c.vertices[0] for c in self.cells_of_dim(0))
+        return self.bases_of_dim(0)
+
+    def bases_of_dim(self, k: int) -> list:
+        """The sorted base points of the k-cells, each once."""
+        return [p for p, sh in self.shapes.items() if len(sh.by_dim) > k and sh.by_dim[k]]
+
+    @cached_property
+    def exponent_tally(self) -> Counter:
+        """Exponent tuple -> number of cells with it.
+
+        A cell's exponents are the smallest base coordinate on each block,
+        read off a table of minima per base point.  The tuples come in
+        their order of first appearance over cells, as a tally of
+        ehrhart.cell_exponents over the cells would list them.
+        """
+        by_dim = [[] for _ in range(self.dim + 1)]
+        for p, sh in self.shapes.items():
+            low = _minima(p).__getitem__
+            for keys, chains in zip(by_dim, sh.by_dim):
+                keys += [tuple(map(low, blocks)) for blocks in chains]
+        out = Counter()
+        for keys in by_dim:
+            out.update(keys)
+        return out
 
     @cached_property
     def vertex_max_dim(self) -> dict:
-        """For each vertex, the largest dimension of a cell through it."""
+        """For each vertex, in sorted order, the largest dimension of a cell through it."""
+        units = _units(self.ambient_dim)
         out: dict = {}
-        for k in sorted(self.by_dim):
-            out.update((v, k) for c in self.by_dim[k] for v in c.vertices)
-        return out
+        for p, sh in self.shapes.items():
+            for S, k in sh.reach.items():
+                v = tuple(map(add, p, units[S]))
+                if out.get(v, -1) < k:
+                    out[v] = k
+        return dict(sorted(out.items()))
+
+    @cached_property
+    def _facet_covers(self) -> dict:
+        """(base, blocks) of each (dim-1)-cell -> how many dim-cells have it as a facet.
+
+        Dropping a vertex other than the base keeps the base (see
+        ChainShapes.inner_facets); dropping the base leaves B_2..B_m at
+        base + 1_(B_1).
+        """
+        top = self.dim
+        if top < 1:
+            return {}
+        counts = {
+            (p, blocks): 0
+            for p, sh in self.shapes.items() if len(sh.by_dim) >= top
+            for blocks in sh.by_dim[top - 1]
+        }
+        units = _units(self.ambient_dim)
+        for p, sh in self.shapes.items():
+            if len(sh.by_dim) > top:
+                keys = [(p, f) for f in sh.inner_facets]
+                keys += [(tuple(map(add, p, units[b[0]])), b[1:]) for b in sh.by_dim[top]]
+                for key in keys:
+                    if key in counts:
+                        counts[key] += 1
+        return counts
 
     @cached_property
     def facet_cover_count(self) -> dict:
         """For each (dim-1)-cell, by vertex tuple: how many top cells cover it."""
-        counts = {c.vertices: 0 for c in self.cells_of_dim(self.dim - 1)}
-        for c in self.cells_of_dim(self.dim):
-            for f in c.facets():
-                if f.vertices in counts:
-                    counts[f.vertices] += 1
-        return counts
+        units = _units(self.ambient_dim)
+        return {
+            (p, *(tuple(map(add, p, units[S])) for S in itertools.accumulate(blocks, or_))): n
+            for (p, blocks), n in self._facet_covers.items()
+        }
+
+    @cached_property
+    def facet_exponents(self) -> list:
+        """(covers, exponent sum) of each (d-1)-cell, d = ambient_dim, in cell order.
+
+        covers is the number of d-cells with the cell as a facet, and the
+        exponent sum adds the smallest base coordinate over each block.
+        """
+        d = self.ambient_dim
+        covers = self._facet_covers if self.dim == d else {}
+        out = []
+        for p, sh in self.shapes.items():
+            if len(sh.by_dim) >= d:
+                low = _minima(p).__getitem__
+                out.extend(
+                    (covers.get((p, blocks), 0), sum(map(low, blocks)))
+                    for blocks in sh.by_dim[d - 1]
+                )
+        return out
 
     @cached_property
     def _facet_boundary_closure(self) -> frozenset:
@@ -271,47 +505,37 @@ class CellComplex:
         return [c for c in self.cells if c.vertices not in closure]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** c.dim for c in self.cells)
-
-
-def _sorted_cells(cells: Iterable[AlcovedSimplex]) -> tuple:
-    return tuple(sorted(cells, key=lambda c: (c.dim, c.vertices)))
+        return sum(sh.euler for sh in self.shapes.values())
 
 
 def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComplex:
-    """All open alcoved cells contained in tconv(M).
+    """All open alcoved cells contained in tconv(M), stored by base point.
 
-    See the module docstring for why chain enumeration over the lattice points
-    is exhaustive.  Cells come out sorted by (dim, vertices) so the result is
-    deterministic.
+    Each lattice point p gets its cube pattern, the sets S with p + 1_S in
+    the hull, from 2**d - 1 set lookups.  A pattern's chains are walked
+    once per call and shared by every point that has it.  The guard counts
+    cells in base order and trips at guard + 2 of them, naming the
+    guard + 1 steps that a cell-by-cell walk would have reached.
     """
     guard = resolve_guard(guard)
     pts = lattice_points(m, guard)
     d = m.rows
-    # every nonzero 0/1 increment, with its support as a bit mask
-    steps = [
-        (mask, tuple(mask >> i & 1 for i in range(d))) for mask in range(1, 1 << d)
-    ]
-    cells = []
-    budget = [0]
-
-    def extend(chain, used_mask):
-        check_guard(budget[0], guard, "chain enumeration")
-        budget[0] += 1
-        cells.append(AlcovedSimplex(tuple(chain)))
-        last = chain[-1]
-        for mask, inc in steps:
-            if mask & used_mask:
-                continue
-            nxt = tuple(map(add, last, inc))
-            if nxt in pts:
-                chain.append(nxt)
-                extend(chain, used_mask | mask)
-                chain.pop()
-
+    units = _units(d)
+    memo: dict = {}  # cube pattern -> its ChainShapes
+    shapes = {}
+    made = 0
     for p in sorted(pts):
-        extend([p], 0)
-    return CellComplex(d, _sorted_cells(cells))
+        pattern = 1
+        for S in range(1, 1 << d):
+            if tuple(map(add, p, units[S])) in pts:
+                pattern |= 1 << S
+        sh = memo.get(pattern)
+        if sh is None:
+            sh = memo[pattern] = _pattern_shapes(pattern, d, guard + 1 - made)
+        made += sh.size
+        check_guard(min(made - 1, guard + 1), guard, "chain enumeration")
+        shapes[p] = sh
+    return CellComplex._of_shapes(d, shapes)
 
 
 def ambient_dim(arg) -> int:
@@ -357,4 +581,4 @@ def enumerate_triangulation_brute(m: TropMatrix, guard: int | None = None) -> Ce
                 cell = AlcovedSimplex.from_description(a, pi, signs)
                 if contains(m, cell.relative_interior_point()):
                     found.add(cell)
-    return CellComplex(d, _sorted_cells(found))
+    return CellComplex(d, found)

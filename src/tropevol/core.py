@@ -142,6 +142,23 @@ class TropMatrix:
                         "(pass allow_minus_inf_columns=True if intended)"
                     )
 
+    @classmethod
+    def _trusted(cls, entries: tuple, allow_minus_inf_columns: bool) -> "TropMatrix":
+        """A matrix whose entries come from validated matrices, unchecked.
+
+        Such entries are exact scalars and keep every column's finiteness,
+        so only the shape can be wrong: an empty selection of rows or
+        columns raises the constructor's error.
+        """
+        if not entries:
+            raise ValidationError("matrix needs at least one row")
+        if not entries[0]:
+            raise ValidationError("matrix needs at least one column")
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "allow_minus_inf_columns", allow_minus_inf_columns)
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence], allow_minus_inf_columns: bool = False) -> "TropMatrix":
         ent = tuple(tuple(as_entry(e) for e in row) for row in rows)
@@ -175,13 +192,13 @@ class TropMatrix:
             yield self.column(j)
 
     def submatrix_columns(self, js: Sequence[int]) -> "TropMatrix":
-        return TropMatrix(
+        return TropMatrix._trusted(
             tuple(tuple(row[j] for j in js) for row in self.entries),
             self.allow_minus_inf_columns,
         )
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "TropMatrix":
-        return TropMatrix(
+        return TropMatrix._trusted(
             tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
             True,
         )
@@ -207,7 +224,7 @@ class TropMatrix:
         lam = as_entry(lam)
         if lam is None:
             raise ValidationError("cannot scale a point configuration by -inf")
-        return TropMatrix(
+        return TropMatrix._trusted(
             tuple(tuple(tmul(e, lam) for e in row) for row in self.entries),
             self.allow_minus_inf_columns,
         )
@@ -263,7 +280,7 @@ def mat_tmul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         )
         for i in range(a.rows)
     )
-    return TropMatrix(out, True)
+    return TropMatrix._trusted(out, True)
 
 
 def residuate(m: TropMatrix, x: Sequence) -> tuple:
@@ -475,5 +492,5 @@ def act(s: ScaledPermutationMatrix, m: TropMatrix) -> TropMatrix:
         tuple(tmul(s.z[i], e) for e in m.entries[s.sigma[i]])
         for i in range(s.d)
     )
-    return TropMatrix(rows, m.allow_minus_inf_columns)
+    return TropMatrix._trusted(rows, m.allow_minus_inf_columns)
 

@@ -42,13 +42,17 @@ of the largest reachable value per level, about (g_1 + ... + g_m) * t, not
 the count itself.  Since count(c*g, t) = count(g, c*t), a cell whose
 smallest weight is b**s has the Ehrhart polynomial of its translate by -s
 (smallest weight 1) with coefficient i multiplied by b**(s*i).  So every
-count reads a cell's exponent tuple alone: the formula sum, count_via_cells
-and the closed forms of c_d and c_{d-1} tally exponent tuples, and the
-formula sum folds them into classes by shifted tuple (exponents minus their
-smallest, s).  The class kernel _class_coeffs returns the integers m! * c_i
-of an m-cell class, read off its counts at t = 0..m through one integer
-table per m (m! times the inverse Vandermonde matrix of those nodes); the
-formula sum adds d! * c_i in integers and forms the d + 1 Fractions once.
+count reads a cell's exponent tuple alone.  The formula sum, count_via_cells
+and c_d read the complex's exponent_tally, and c_{d-1} its facet_exponents;
+both tables come off the chain shapes stored per lattice point (see cells),
+built once per complex and never as cell objects.  Only the interior sum
+tallies cell objects, with cell_exponents.  The formula sum folds the tally
+into classes by shifted tuple (exponents minus their smallest, s).  The
+class kernel _class_coeffs returns the integers m! * c_i of an m-cell class,
+read off its counts at t = 0..m, all from one DP at t = m, through one
+integer table per m (m! times the inverse Vandermonde matrix of those
+nodes); the formula sum adds d! * c_i in integers and forms the d + 1
+Fractions once.
 closed_cell_count, open_cell_count and classical_ehrhart_scaled_simplex are
 entry points onto the same kernels for one cell.  The table, keyed by m
 alone, is the only state kept between calls, so a second call on the same
@@ -108,7 +112,7 @@ def _check_counting_arg(arg) -> None:
     ambient_dim(arg)  # anything but a matrix or a complex is rejected
     if isinstance(arg, TropMatrix):
         _check_counting_matrix(arg, allow_minus_inf=False)
-    elif any(min(c.base) < 0 for c in arg.cells):
+    elif any(min(p) < 0 for p in arg.shapes):
         raise ValidationError("counting needs cell vertices in Z>=0")
 
 
@@ -316,6 +320,29 @@ def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
     return tuple(b ** e for e in cell_exponents(cell))
 
 
+def _outer_prefix(gs: Sequence[int], tops: Sequence[int], s: int) -> Optional[list]:
+    """below[x + 1] = the chains of _chain_count whose outermost value n_1 is at most x.
+
+    From the innermost level outwards, the number of completions below each
+    value of level l is a prefix sum over level l + 1; the innermost level
+    is never tabulated, as it has max(0, x + 1 - s) members up to x.  Level
+    l takes the values 0..tops[l], and no table depends on tops[0] but the
+    outermost, which ends at x = tops[0].  None when m = 1: no level is
+    tabulated.
+    """
+    g_in = gs[-1]
+    below = None
+    for level in range(len(gs) - 2, -1, -1):
+        g = gs[level]
+        if below is None:
+            cur = [max(0, (g_in * n - s) // g + 1 - s) for n in range(tops[level] + 1)]
+        else:
+            cur = [below[(g_in * n - s) // g + 1] for n in range(tops[level] + 1)]
+        below = [0, *itertools.accumulate(cur)]
+        g_in = g
+    return below
+
+
 def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
     """Count weighted chains below dilation t; strict toggles < versus <=.
 
@@ -323,10 +350,9 @@ def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
     strict=True:   0 <  n_m/g_m <  ... <  n_1/g_1 <  t
     Level l takes the values 0..top_l with top_0 = t, g_0 = 1 and
     top_l = (g_l * top_{l-1}) // g_{l-1}, or (g_l * top_{l-1} - 1) // g_{l-1}
-    when strict.  From the innermost level outwards, the number of
-    completions below each value of level l is a prefix sum over level l + 1,
-    so cost and memory are the sum of top_l + 1 over the tabulated levels
-    l < m; that sum is checked against the guard before any work.
+    when strict.  The prefix-sum DP (_outer_prefix) costs, in time and
+    memory, the sum of top_l + 1 over the tabulated levels l < m; that sum
+    is checked against the guard before any work.
     """
     m = len(gs)
     if m == 0:
@@ -339,22 +365,9 @@ def _chain_count(gs: Sequence[int], t: int, strict: bool, guard: int) -> int:
         if num < s:
             return 0
         tops.append(num)
-    # the innermost level is never tabulated: it has max(0, x + 1 - s)
-    # members up to x, and its caller asks for one such value per entry
     check_guard(sum(tops[:-1]) + m - 1, guard, "weighted chain counting")
-    g_in = gs[-1]
-    below = None  # below[x + 1] = completions of the inner levels up to x
-    for level in range(m - 2, -1, -1):
-        g = gs[level]
-        if below is None:
-            cur = [max(0, (g_in * n - s) // g + 1 - s) for n in range(tops[level] + 1)]
-        else:
-            cur = [below[(g_in * n - s) // g + 1] for n in range(tops[level] + 1)]
-        below = [0, *itertools.accumulate(cur)]
-        g_in = g
-    if below is None:
-        return tops[0] + 1 - s
-    return below[-1]
+    below = _outer_prefix(gs, tops, s)
+    return tops[0] + 1 - s if below is None else below[-1]
 
 
 def open_cell_count(cell: AlcovedSimplex, b: int, k: int, guard: int | None = None) -> int:
@@ -394,7 +407,7 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     t = (b - 1) * b ** k
     return sum(
         count * _chain_count(tuple(b ** e for e in exps), t, True, guard)
-        for exps, count in _tally(complex_.cells).items()
+        for exps, count in complex_.exponent_tally.items()
     )
 
 
@@ -421,10 +434,22 @@ def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
 
     The c_i are the Ehrhart coefficients, read off the closed chain counts
     at t = 0..m (t = 0 counts the one point 0) through _interpolation_table(m).
+    Closed, level l runs over 0..g_l * t, and no table of the DP but the
+    outermost depends on t, so one DP at t = m gives every count: the chains
+    below t are those with n_1 <= g_1 * t.  The guard is charged as
+    _chain_count would charge each t = 1..m in turn, so the first t past it
+    raises that t's error.
     """
     gs = tuple(b ** e for e in exps)
-    counts = [1] + [_chain_count(gs, t, False, guard) for t in range(1, len(gs) + 1)]
-    return tuple(sum(map(mul, row, counts)) for row in _interpolation_table(len(gs)))
+    m = len(gs)
+    inner = sum(gs[:-1])
+    for t in range(1, m + 1):
+        check_guard(t * inner + m - 1, guard, "weighted chain counting")
+    counts = [1]
+    if m:
+        below = _outer_prefix(gs, [g * m for g in gs], 0)
+        counts += [gs[0] * t + 1 if below is None else below[gs[0] * t + 1] for t in range(1, m + 1)]
+    return tuple(sum(map(mul, row, counts)) for row in _interpolation_table(m))
 
 
 def classical_ehrhart_scaled_simplex(
@@ -450,14 +475,14 @@ def classical_ehrhart_scaled_simplex(
     )
 
 
-def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
-    """c_0..c_d as the signed, (b-1)-weighted sum over the given cells.
+def _formula_sum(tally: Counter, d: int, b: int, guard: int) -> tuple:
+    """c_0..c_d as the signed, (b-1)-weighted sum over cells, given their exponent tally.
 
     c_i = sum over cells of dimension m >= i of
           (-1)**(m-i) * (b-1)**i * (classical coefficient i of the scaled cell).
     A cell with exponents e and s = min(e) has coefficient i equal to that of
     the class e - s times b**(s*i) (see classical_ehrhart_scaled_simplex).
-    So the cells are tallied by exponent tuple, and each shifted class keeps
+    So the cells come tallied by exponent tuple, and each shifted class keeps
     the integers sums[i] = sum over its tuples of count * b**(s*i).  One
     call of _class_coeffs per class gives the integers m! * coefficient i,
     and its contribution to d! * c_i is
@@ -465,7 +490,7 @@ def _formula_sum(cells, d: int, b: int, guard: int) -> tuple:
     The d + 1 Fractions are formed once, at the end.
     """
     classes: dict = {}  # shifted tuple -> sums
-    for exps, count in _tally(cells).items():
+    for exps, count in tally.items():
         s = min(exps, default=0)
         sums = classes.setdefault(tuple(e - s for e in exps), [0] * (len(exps) + 1))
         scale = b ** s
@@ -486,7 +511,7 @@ def coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     check_base(b)
     guard = resolve_guard(guard)
     complex_ = counting_complex(arg, guard)
-    return _formula_sum(complex_.cells, complex_.ambient_dim, b, guard)
+    return _formula_sum(complex_.exponent_tally, complex_.ambient_dim, b, guard)
 
 
 def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
@@ -494,7 +519,9 @@ def c_top_leading(arg, b: int, guard: int | None = None) -> Fraction:
     check_base(b)
     complex_ = counting_complex(arg, resolve_guard(guard))
     d = complex_.ambient_dim
-    total = sum(b ** sum(cell_exponents(cell)) for cell in complex_.cells_of_dim(d))
+    total = sum(
+        count * b ** sum(exps) for exps, count in complex_.exponent_tally.items() if len(exps) == d
+    )
     return Fraction((b - 1) ** d * total, factorial(d))
 
 
@@ -504,11 +531,11 @@ def weighted_facets(complex_: CellComplex) -> Iterator[tuple]:
     delta = (2 - number of full cells covering F) / 2: none -> 1 (a tentacle
     facet), one -> 1/2 (boundary), two -> 0 (interior wall, skipped).  e is
     F's exponent sum: b**e / (d-1)! is the relative volume of the b-scaled F.
+    Both come off the complex's facet_exponents table.
     """
-    for cell in complex_.cells_of_dim(complex_.ambient_dim - 1):
-        twice = 2 - complex_.facet_cover_count.get(cell.vertices, 0)
-        if twice:
-            yield twice, sum(cell_exponents(cell))
+    for covers, e in complex_.facet_exponents:
+        if covers < 2:
+            yield 2 - covers, e
 
 
 def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
@@ -562,7 +589,7 @@ def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     check_base(b)
     guard = resolve_guard(guard)
     complex_ = counting_complex(arg, guard)
-    return _formula_sum(complex_.interior_cells(), complex_.ambient_dim, b, guard)
+    return _formula_sum(_tally(complex_.interior_cells()), complex_.ambient_dim, b, guard)
 
 
 def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:

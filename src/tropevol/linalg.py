@@ -386,7 +386,7 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
                 cand = wik + wk[j]
                 if wi[j] is None or cand > wi[j]:
                     wi[j] = cand
-    return TropMatrix(tuple(tuple(row) for row in w), True)
+    return TropMatrix._trusted(tuple(tuple(row) for row in w), True)
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignme
             e = a.entries[i][col]
             row.append(None if e is None else e - res.u[i] - res.v[col])
         rows.append(tuple(row))
-    c = TropMatrix(tuple(rows), True)
+    c = TropMatrix._trusted(tuple(rows), True)
     return NormalizedAssignment(c, res.sigma, res.u, res.v)
 
 

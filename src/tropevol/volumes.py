@@ -72,7 +72,7 @@ def simplex_dtrunk_barycenter(m: TropMatrix) -> Optional[tuple]:
         raise ValidationError(
             f"expected a {d}x{d + 1} simplex matrix, got {d}x{m.cols}"
         )
-    abar = TropMatrix(((0,) * (d + 1),) + m.entries)
+    abar = TropMatrix._trusted(((0,) * (d + 1),) + m.entries, False)
     res = tdet(abar)
     if not _nonsingular_given(abar, res):
         return None
@@ -120,8 +120,7 @@ def tlvol_triangulation(arg, guard: int | None = None):
     d = complex_.ambient_dim
     best = None
     witness = None
-    for cell in complex_.cells_of_dim(d):
-        base = cell.vertices[0]
+    for base in complex_.bases_of_dim(d):
         val = sum(base) + d
         if best is None or val > best:
             best = val
@@ -171,7 +170,7 @@ def _i_volumes(complex_: CellComplex) -> dict:
     plus_w = [None] * (d + 1)
     minus = [None] * (d + 1)
     minus_w = [None] * (d + 1)
-    for v, k in sorted(complex_.vertex_max_dim.items()):
+    for v, k in complex_.vertex_max_dim.items():
         prefix = list(itertools.accumulate(sorted(v), initial=0))
         total = prefix[d]
         for i in range(1, k + 1):

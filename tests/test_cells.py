@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from tropevol.cells import (
     lattice_points,
 )
 from tropevol.core import TropMatrix, contains
+from tropevol.ehrhart import cell_exponents, weighted_facets
 from tropevol.errors import GuardExceeded, ValidationError
 from tropevol.fixtures import (
     alcove_simplex,
@@ -29,13 +32,80 @@ from tropevol.fixtures import (
     fix_prod,
     fix_tri,
 )
-from tropevol.volumes import cartesian_product
+from tropevol.guard import check_guard, resolve_guard
+from tropevol.volumes import cartesian_product, tlvol_triangulation
 
 
 def trunk(cx: CellComplex, i: int) -> CellComplex:
     """Oracle for the i-trunk: the closure under faces of the cells of dimension >= i."""
     keep = {f for c in cx.cells if c.dim >= i for f in c.faces()}
     return CellComplex(cx.ambient_dim, tuple(sorted(keep, key=lambda c: (c.dim, c.vertices))))
+
+
+def dfs_triangulation(m: TropMatrix, guard: int | None = None) -> tuple:
+    """Oracle: every increment chain from every lattice point, one cell at a time.
+
+    Each cell is charged to the guard before it is made, so the walk stops
+    at guard + 2 cells.  The cells come back sorted by (dim, vertices).
+    """
+    guard = resolve_guard(guard)
+    pts = lattice_points(m, guard)
+    d = m.rows
+    steps = [(mask, tuple(mask >> i & 1 for i in range(d))) for mask in range(1, 1 << d)]
+    cells = []
+
+    def extend(chain, used):
+        check_guard(len(cells), guard, "chain enumeration")
+        cells.append(AlcovedSimplex(tuple(chain)))
+        for mask, inc in steps:
+            nxt = tuple(map(add, chain[-1], inc))
+            if not mask & used and nxt in pts:
+                extend(chain + [nxt], used | mask)
+
+    for p in sorted(pts):
+        extend([p], 0)
+    return tuple(sorted(cells, key=lambda c: (c.dim, c.vertices)))
+
+
+def _tables_from_cells(cells, d):
+    """The complex's derived tables, each read off the cell objects."""
+    dim = max((c.dim for c in cells), default=-1)
+    vertex_max_dim = {}
+    for c in cells:  # ascending dimension, so the last write is the largest
+        vertex_max_dim.update((v, c.dim) for v in c.vertices)
+    covers = {c.vertices: 0 for c in cells if c.dim == dim - 1}
+    for c in cells:
+        if c.dim == dim:
+            for f in c.facets():
+                if f.vertices in covers:
+                    covers[f.vertices] += 1
+    facets = [
+        (covers.get(c.vertices, 0) if dim == d else 0, sum(cell_exponents(c)))
+        for c in cells if c.dim == d - 1
+    ]
+    full = [c.vertices[0] for c in cells if c.dim == d]
+    best = max((sum(p) + d for p in full), default=None)
+    return {
+        "tally": list(Counter(map(cell_exponents, cells)).items()),
+        "vertex_max_dim": list(vertex_max_dim.items()),
+        "facet_cover_count": list(covers.items()),
+        "euler": sum((-1) ** c.dim for c in cells),
+        "tlvol": (best, next((p for p in full if sum(p) + d == best), None)),
+        "facets": facets,
+        "weighted": [(2 - n, e) for n, e in facets if n < 2],
+    }
+
+
+def _tables_of(cx):
+    return {
+        "tally": list(cx.exponent_tally.items()),
+        "vertex_max_dim": list(cx.vertex_max_dim.items()),
+        "facet_cover_count": list(cx.facet_cover_count.items()),
+        "euler": cx.euler_characteristic(),
+        "tlvol": tlvol_triangulation(cx),
+        "facets": list(cx.facet_exponents),
+        "weighted": list(weighted_facets(cx)),
+    }
 
 
 def test_alcoved_simplex_from_chain():
@@ -218,9 +288,29 @@ def test_alcove_simplex_fixture_is_one_closed_cell():
     assert len(cx.cells) == 7
 
 
+def outcome(fn, *args):
+    """("value", fn(*args)), or ("guard", message, required, limit) if the guard trips."""
+    try:
+        return "value", fn(*args)
+    except GuardExceeded as exc:
+        return "guard", str(exc), exc.required, exc.limit
+
+
 def test_triangulation_guard():
     with pytest.raises(GuardExceeded):
         enumerate_triangulation(fix_l(4), guard=2)
+    # the guard trips where the cell-by-cell walk trips: at guard + 2 cells,
+    # naming guard + 1 steps, and only then
+    tripped = Counter()
+    for m in list(_seeded_matrices(65, 25, lo=-2, hi=3)) + [fix_4d(), cartesian_product(*fix_prod(3))]:
+        size = len(dfs_triangulation(m))
+        for guard in {1, 2, 3, size // 2, size - 3, size - 2, size - 1, size}:
+            if guard > 0:
+                want = outcome(dfs_triangulation, m, guard)
+                got = outcome(lambda *a: enumerate_triangulation(*a).cells, m, guard)
+                assert got == want, (m.entries, guard)
+                tripped[want[1].split(" needs")[0] if want[0] == "guard" else "value"] += 1
+    assert min(tripped.values()) >= 15, tripped
 
 
 def _seeded_matrices(seed, count, lo=0, hi=3):
@@ -265,7 +355,43 @@ def test_triangulation_matches_brute_force_with_negative_entries():
         fast = enumerate_triangulation(m)
         brute = enumerate_triangulation_brute(m)
         assert fast.cells == brute.cells, m.entries
+        assert _tables_of(brute) == _tables_of(fast), m.entries
     assert negative >= 15
+
+
+def _pattern_cases():
+    """Seeded matrices with 1..4 rows, negative entries and translates."""
+    rng = random.Random(2204)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        top = {1: 6, 2: 4, 3: 3, 4: 2}[d]
+        lo, n = rng.randint(-3, 1), rng.randint(1, 5)
+        m = TropMatrix.from_rows([[rng.randint(lo, lo + top) for _ in range(n)] for _ in range(d)])
+        yield m
+        yield m.translate(rng.randint(-3, 3))
+    yield from (fix_4d(), fix_l(5), cartesian_product(*fix_prod(3)))
+
+
+def test_pattern_tables_match_cell_by_cell_oracles():
+    # cells materialised from the chain shapes, and every table read off
+    # the shapes, equal the cell-by-cell walk and what it derives from its
+    # cells, the order of the tally and of each dict included
+    seen = Counter()
+    for m in _pattern_cases():
+        cx = enumerate_triangulation(m)
+        cells = dfs_triangulation(m)
+        assert cx.cells == cells, m.entries
+        assert _tables_of(cx) == _tables_from_cells(cells, m.rows), m.entries
+        assert cx.dim == max(c.dim for c in cells)
+        assert cx.vertices() == sorted(c.vertices[0] for c in cells if c.dim == 0)
+        seen["rows %d" % m.rows] += 1
+        seen["negative"] += not m.is_nonnegative()
+        seen["full"] += cx.dim == m.rows
+        seen["covered twice"] += 2 in cx.facet_cover_count.values()
+        if m.rows <= 3 and len(cells) <= 40:
+            assert enumerate_triangulation_brute(m).cells == cells, m.entries
+            seen["brute"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_cell_is_only_its_vertex_chain():

@@ -90,6 +90,21 @@ def test_matrix_construction_and_validation():
         TropMatrix.from_rows([[None], [None]])
     allowed = TropMatrix.from_rows([[None], [None]], allow_minus_inf_columns=True)
     assert allowed.has_minus_inf_column()
+    # matrices derived from validated ones skip the entry checks, but each
+    # one passes them and the empty shapes keep the constructor's errors
+    m = TropMatrix.from_rows([[0, None, Fraction(1, 2)], [1, 3, None]])
+    derived = [
+        m.submatrix_columns((2, 0)), m.submatrix((1,), (1, 2)), m.translate(Fraction(-1, 2)),
+        mat_tmul(m.submatrix_columns((0, 1)), m), act(ScaledPermutationMatrix((1, 0), (2, -1)), m),
+    ]
+    for x in derived:
+        assert TropMatrix(x.entries, x.allow_minus_inf_columns) == x
+    with pytest.raises(ValidationError, match="^matrix needs at least one column$"):
+        m.submatrix_columns(())
+    with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
+        m.submatrix((), (0,))
+    with pytest.raises(ValidationError, match="^matrix needs at least one column$"):
+        m.submatrix((0,), ())
 
 
 def test_matrix_json_round_trip():

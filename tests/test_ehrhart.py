@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -47,6 +48,8 @@ from tropevol.fixtures import (
 )
 from tropevol.ratpoly import lagrange_interpolate, poly_eval
 from tropevol.volumes import cartesian_product, discrete_surface
+
+from test_cells import dfs_triangulation, outcome
 
 
 # Frozen count tables for the triangle-with-tail shape, length parameter 4.
@@ -607,13 +610,13 @@ def test_interpolation_table_is_integral_and_matches_lagrange():
 def test_formula_calls_keep_no_state_between_calls(monkeypatch):
     # every call repeats its own counts: only the per-dimension table is cached
     calls = []
-    chain = ehrhart._chain_count
+    chain = ehrhart._outer_prefix
 
-    def counting(gs, t, strict, guard):
-        calls.append((gs, t, strict))
-        return chain(gs, t, strict, guard)
+    def counting(gs, tops, s):
+        calls.append((gs, tuple(tops), s))
+        return chain(gs, tops, s)
 
-    monkeypatch.setattr(ehrhart, "_chain_count", counting)
+    monkeypatch.setattr(ehrhart, "_outer_prefix", counting)
     cx = enumerate_triangulation(fix_l(4).translate(3))
     first = coeffs_via_formula(cx, 2)
     made = list(calls)
@@ -723,6 +726,73 @@ def test_grouped_open_cell_count_matches_per_cell_sum():
             for k in range(3):
                 want = sum(ehrhart.open_cell_count(c, b, k) for c in cx.cells)
                 assert count_via_cells(cx, b, k) == want, (cx.cells[:1], b, k)
+
+
+def _class_coeffs_per_t(exps, b, guard):
+    """Oracle: one closed chain count per t = 1..m, in ascending order."""
+    gs = tuple(b ** e for e in exps)
+    counts = [1] + [_chain_count(gs, t, False, guard) for t in range(1, len(gs) + 1)]
+    return tuple(sum(w * y for w, y in zip(row, counts)) for row in ehrhart._interpolation_table(len(gs)))
+
+
+def test_class_coeffs_one_dp_matches_chain_count_per_t():
+    # one DP at t = m reads every count; guards trip as the counts per t would
+    rng = random.Random(2205)
+    tripped = 0
+    for _ in range(800):
+        b = rng.choice((2, 3, 5))
+        m = rng.randint(0, 5)
+        exps = tuple(rng.randint(0, 3 if m <= 3 else 1) for _ in range(m))
+        want = _class_coeffs_per_t(exps, b, 10**7)
+        assert ehrhart._class_coeffs(exps, b, 10**7) == want, (exps, b)
+        inner = sum(b ** e for e in exps[:-1])
+        for t in range(1, m + 1):
+            for guard in {t * inner + m - 2, t * inner + m - 1} - {0, -1}:
+                got = outcome(ehrhart._class_coeffs, exps, b, guard)
+                assert got == outcome(_class_coeffs_per_t, exps, b, guard), (exps, b, guard)
+                tripped += got[0] == "guard"
+    assert tripped > 300
+
+
+def _dfs_formula_sum(m, b, guard):
+    """Oracle for the formula sum's guard: the cell-by-cell triangulation, then
+    each shifted class in order of first appearance, counted once per t."""
+    cells_ = dfs_triangulation(m, guard)
+    seen = set()
+    for exps in collections.Counter(map(ehrhart.cell_exponents, cells_)):
+        shifted = tuple(e - min(exps) for e in exps)
+        if shifted not in seen:
+            seen.add(shifted)
+            _class_coeffs_per_t(shifted, b, guard)
+    return coeffs_via_formula(m, b)
+
+
+def _dfs_count_via_cells(m, b, k, guard):
+    """Oracle for count_via_cells: one open count per exponent tuple, in order."""
+    total = 0
+    for exps, n in collections.Counter(map(ehrhart.cell_exponents, dfs_triangulation(m, guard))).items():
+        total += n * _chain_count(tuple(b ** e for e in exps), (b - 1) * b ** k, True, guard)
+    return total
+
+
+def test_formula_and_cell_count_guards_trip_as_cell_by_cell_routes():
+    rng = random.Random(2206)
+    stages = collections.Counter()
+    guards = sorted({round(1.25 ** i) for i in range(40)})
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        rows = [[rng.randint(0, 5) for _ in range(3)] for _ in range(d)]
+        m = TropMatrix.from_rows(rows).translate(rng.randint(0, 2))
+        for b in (2, 3):
+            for guard in guards:
+                for route, oracle, args in (
+                    (coeffs_via_formula, _dfs_formula_sum, (m, b, guard)),
+                    (count_via_cells, _dfs_count_via_cells, (m, b, 1, guard)),
+                ):
+                    want = outcome(oracle, *args)
+                    assert outcome(route, *args) == want, (route.__name__, rows, b, guard)
+                    stages[want[1].split(" needs")[0] if want[0] == "guard" else "value"] += 1
+    assert min(stages.values()) >= 20 and len(stages) == 4, stages
 
 
 def test_chain_guard_names_stage_on_every_call():
