@@ -20,14 +20,16 @@ under union because P is tropically convex (Develin and Sturmfels,
 *Tropical convexity*, 2004).  So the complex stores, per lattice point,
 the ChainShapes of its pattern: each chain as its block masks
 S_l minus S_(l-1), walked once per distinct pattern and shared by every point
-that has it.  The tables the counting and volume layers need (exponent
-tuples, the largest cell at each vertex, facet cover counts, the Euler
-characteristic, the bases of the top cells) are read off the shapes, a
-table of minima per point giving each block's exponent.  AlcovedSimplex
-objects are built only when a caller asks for CellComplex.cells, because
-only the cell-by-cell consumers need them (the interior and purity tests,
-the plot, the self-checks and the oracles) and building them costs about
-as much as the walk itself.
+that has it.  The chains depend on the pattern and d alone, so the walks are
+kept across calls, in a table capped at PATTERN_TABLE_CAP patterns, and a
+pattern seen on any earlier matrix is not walked again.  The tables the
+counting and volume layers need (exponent tuples, the largest cell at each
+vertex, facet cover counts, the Euler characteristic, the bases of the top
+cells) are read off the shapes, a table of minima per point giving each
+block's exponent.  AlcovedSimplex objects are built only when a caller
+asks for CellComplex.cells, because only the cell-by-cell consumers need
+them (the interior and purity tests, the plot, the self-checks and the
+oracles) and building them costs about as much as the walk itself.
 
 Any finite integer matrix is accepted.  Chains, lattice points and
 membership all commute with translation by c * (1, ..., 1), so the cells of
@@ -55,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
 from .errors import ValidationError
-from .guard import check_guard, resolve_guard
+from .guard import BoundedTable, check_guard, resolve_guard
 
 
 def _check_lattice_input(m: TropMatrix) -> None:
@@ -184,11 +186,15 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
     never below the box, as lo >= min_j M_aj.  Fibres of a tropical polytope
     along an axis are intervals (Develin and Sturmfels, *Tropical
     convexity*, 2004).  The other coordinates are fixed one at a time in
-    nested loops that carry the prefix minima of c.  The first and third
-    conditions, read for the coordinate x_k being fixed instead of s, bound
-    it to [least M_kj over c_j >= 0, max_j min(c_j + M_kj, M_kj)], and both
-    ends only tighten as later coordinates lower c, so the loops skip what
-    no fibre can use.  The guard is charged the whole box up front.
+    nested loops that carry the prefix minima of c.  All three conditions,
+    read for the coordinate x_k being fixed instead of s, bound it, and each
+    bound only tightens as later coordinates lower c, so every level skips
+    what no fibre can use: the first and third give
+    [least M_kj over c_j >= 0, max_j min(c_j + M_kj, M_kj)], and a row i
+    fixed earlier still recomposes only through a column j with
+    c_j == x_i - M_ij <= 0 now, which needs x_k >= c_j + M_kj.  So x_k is at
+    least the least such c_j + M_kj, and a row with no such j ends the
+    branch.  The guard is charged the whole box up front.
     """
     guard = resolve_guard(guard)
     box = bounding_box(m)
@@ -206,15 +212,17 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
         row = rows[order[len(xs)]]
         hi = max(min(cj + e, e) for cj, e in zip(c, row))
         lo = min((e for cj, e in zip(c, row) if cj >= 0), default=hi + 1)
-        if len(xs) < len(others):
-            for xk in range(lo, hi + 1):
-                sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
-            return
         for i, xi in zip(others, xs):
             lo = max(lo, min(
                 (cj + e for cj, e, mij in zip(c, row, rows[i]) if cj == xi - mij <= 0),
                 default=hi + 1,
             ))
+            if lo > hi:
+                return
+        if len(xs) < len(others):
+            for xk in range(lo, hi + 1):
+                sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
+            return
         head, tail = xs[:a], xs[a:]
         pts.update(head + (s,) + tail for s in range(lo, hi + 1))
 
@@ -246,7 +254,9 @@ class ChainShapes:
     by_dim[k] holds each k-cell at the point as the tuple of its block masks
     S_1, S_2 minus S_1, ..., S_k minus S_(k-1), in vertex order, and ends at the
     largest dimension present.  Points with the same cube pattern share one
-    instance, so the tables cached here are built once per pattern.
+    instance, in every complex of the process (see _pattern_shapes), so the
+    tables cached here are built once per pattern.  Nothing here depends on
+    the point, and nothing cached here is mutable.
     """
 
     def __init__(self, by_dim: list):
@@ -256,36 +266,54 @@ class ChainShapes:
         self.size = sum(map(len, by_dim))
 
     @cached_property
-    def reach(self) -> dict:
-        """Set S -> the largest dimension of a cell here with vertex p + 1_S.
+    def unions(self) -> tuple:
+        """Each chain's sets S_1 < ... < S_k, the unions of its first blocks, as by_dim.
 
-        Vertex l of a chain is p + 1_(S_l), S_l the union of its first l
-        blocks; the base p (S = 0) lies on every chain.
+        Vertex l of a chain is p + 1_(S_l).
         """
-        out = {0: len(self.by_dim) - 1}
-        for k, chains in enumerate(self.by_dim):
-            out.update((S, k) for blocks in chains for S in itertools.accumulate(blocks, or_))
-        return out
+        return tuple(
+            tuple(tuple(itertools.accumulate(blocks, or_)) for blocks in chains)
+            for chains in self.by_dim
+        )
 
     @cached_property
-    def inner_facets(self) -> list:
+    def reach(self) -> tuple:
+        """(S, k) for each vertex p + 1_S here, k the largest dimension of a cell through it.
+
+        The base p (S = 0) lies on every chain.
+        """
+        out = {0: len(self.by_dim) - 1}
+        for k, chains in enumerate(self.unions):
+            out.update((S, k) for sets in chains for S in sets)
+        return tuple(out.items())
+
+    @cached_property
+    def inner_facets(self) -> tuple:
         """The facets of the chains of the largest dimension here that keep the base.
 
         Dropping vertex l of a chain with blocks B_1..B_m drops B_m for
         l = m and merges B_l and B_(l+1) for 0 < l < m.
         """
-        return [
+        return tuple(
             facet
             for b in self.by_dim[-1]
             for facet in (
                 b[:-1],
                 *(b[:l - 1] + (b[l - 1] | b[l],) + b[l + 1:] for l in range(1, len(b))),
             )
-        ]
+        )
 
     @cached_property
     def euler(self) -> int:
         return sum((-1) ** k * len(chains) for k, chains in enumerate(self.by_dim))
+
+
+# Most cube patterns kept across calls.  An entry with its cached tables
+# took about 4.5 KB on average on a 4x6 input, and no pattern of d = 4 has
+# more than the full cube's 150 chains (about 30 KB), so the table stays
+# within a few megabytes for inputs of up to four rows.
+PATTERN_TABLE_CAP = 1024
+_patterns = BoundedTable(PATTERN_TABLE_CAP)  # (pattern, d) -> ChainShapes
 
 
 def _pattern_shapes(pattern: int, d: int, limit: int) -> ChainShapes:
@@ -298,7 +326,18 @@ def _pattern_shapes(pattern: int, d: int, limit: int) -> ChainShapes:
     tries the sets in the order of their vectors lists each dimension in
     vertex order.  The walk stops after limit + 1 chains, which trips the
     caller's guard.
+
+    The chains depend on (pattern, d) alone, so a complete walk is kept in
+    a process-wide table of PATTERN_TABLE_CAP entries, and the same
+    pattern in any later call, on any matrix, reads it back.  A walk that
+    reached limit + 1 chains is never kept, as it may be cut short.  A kept
+    walk is never cut, and the caller caps the steps it charges at
+    guard + 1, so the guard trips with the same error either way.
     """
+    key = (pattern, d)
+    shapes = _patterns.get(key)
+    if shapes is not None:
+        return shapes
     present = sorted(
         (S for S in range(1, 1 << d) if pattern >> S & 1), key=_units(d).__getitem__
     )
@@ -316,7 +355,10 @@ def _pattern_shapes(pattern: int, d: int, limit: int) -> ChainShapes:
                 walk(S, blocks + (S ^ top,))
 
     walk(0, ())
-    return ChainShapes(by_dim)
+    shapes = ChainShapes(by_dim)
+    if made <= limit:
+        _patterns.put(key, shapes)
+    return shapes
 
 
 class CellComplex:
@@ -366,12 +408,9 @@ class CellComplex:
         units = _units(self.ambient_dim)
         by_dim = [[] for _ in range(self.dim + 1)]
         for p, sh in self.shapes.items():
-            at = [tuple(map(add, p, u)) for u in units]  # at[S] = p + 1_S
-            for out, chains in zip(by_dim, sh.by_dim):
-                out.extend(
-                    AlcovedSimplex((p, *map(at.__getitem__, itertools.accumulate(blocks, or_))))
-                    for blocks in chains
-                )
+            at = {S: tuple(map(add, p, units[S])) for S, _ in sh.reach}  # at[S] = p + 1_S
+            for out, chains in zip(by_dim, sh.unions):
+                out.extend(AlcovedSimplex((p, *map(at.__getitem__, sets))) for sets in chains)
         return tuple(itertools.chain.from_iterable(by_dim))
 
     @cached_property
@@ -420,7 +459,7 @@ class CellComplex:
         units = _units(self.ambient_dim)
         out: dict = {}
         for p, sh in self.shapes.items():
-            for S, k in sh.reach.items():
+            for S, k in sh.reach:
                 v = tuple(map(add, p, units[S]))
                 if out.get(v, -1) < k:
                     out[v] = k
@@ -513,15 +552,15 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
 
     Each lattice point p gets its cube pattern, the sets S with p + 1_S in
     the hull, from 2**d - 1 set lookups.  A pattern's chains are walked
-    once per call and shared by every point that has it.  The guard counts
-    cells in base order and trips at guard + 2 of them, naming the
-    guard + 1 steps that a cell-by-cell walk would have reached.
+    once per process (see _pattern_shapes) and shared by every point that
+    has it.  The guard counts cells in base order and trips at guard + 2 of
+    them, naming the guard + 1 steps that a cell-by-cell walk would have
+    reached.
     """
     guard = resolve_guard(guard)
     pts = lattice_points(m, guard)
     d = m.rows
     units = _units(d)
-    memo: dict = {}  # cube pattern -> its ChainShapes
     shapes = {}
     made = 0
     for p in sorted(pts):
@@ -529,9 +568,7 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
         for S in range(1, 1 << d):
             if tuple(map(add, p, units[S])) in pts:
                 pattern |= 1 << S
-        sh = memo.get(pattern)
-        if sh is None:
-            sh = memo[pattern] = _pattern_shapes(pattern, d, guard + 1 - made)
+        sh = _pattern_shapes(pattern, d, guard + 1 - made)
         made += sh.size
         check_guard(min(made - 1, guard + 1), guard, "chain enumeration")
         shapes[p] = sh

@@ -54,9 +54,13 @@ integer table per m (m! times the inverse Vandermonde matrix of those
 nodes); the formula sum adds d! * c_i in integers and forms the d + 1
 Fractions once.
 closed_cell_count, open_cell_count and classical_ehrhart_scaled_simplex are
-entry points onto the same kernels for one cell.  The table, keyed by m
-alone, is the only state kept between calls, so a second call on the same
-input repeats every count.
+entry points onto the same kernels for one cell.  Two tables outlive a call,
+both keyed by the mathematics alone: the interpolation table, keyed by m,
+and the class table of _class_coeffs, keyed by (shifted tuple, b) and
+capped at CLASS_TABLE_CAP entries.  Classes recur across matrices, so a
+later call, on the same input or another, reads back every class seen
+before; it still charges the guard for each, before the lookup.  The
+triangulation keeps a third, of cube patterns (see cells).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ import numpy as _np
 from .cells import AlcovedSimplex, CellComplex, ambient_dim, as_complex
 from .core import TropMatrix, check_base, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
-from .guard import check_guard, resolve_guard
+from .guard import BoundedTable, check_guard, resolve_guard
 from .ratpoly import lagrange_interpolate, poly_degree, poly_eval
 
 
@@ -429,6 +433,13 @@ def _interpolation_table(m: int) -> tuple:
     return tuple(tuple(int(col[i] * scale) for col in cols) for i in range(m + 1))
 
 
+# Most class polynomials kept across calls.  An entry is a short tuple of
+# exponents and m + 1 integers, about 320 bytes on a 4x6 input at b = 3, so
+# the table stays near 1.2 MiB at this cap.
+CLASS_TABLE_CAP = 4096
+_classes = BoundedTable(CLASS_TABLE_CAP)  # (exps, b) -> m! * c_0..m! * c_m
+
+
 def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
     """m! * c_0..m! * c_m, integers, for the b-scaled closed cell with exponents exps.
 
@@ -439,17 +450,30 @@ def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
     below t are those with n_1 <= g_1 * t.  The guard is charged as
     _chain_count would charge each t = 1..m in turn, so the first t past it
     raises that t's error.
+
+    The integers depend on (exps, b) alone, and the callers pass shifted
+    tuples (smallest exponent 0), so they are kept in a process-wide table
+    of CLASS_TABLE_CAP entries and the same class in any later call, on any
+    matrix, reads them back.  The guard is charged before the lookup, so a
+    kept class raises exactly what its DP would.
     """
     gs = tuple(b ** e for e in exps)
     m = len(gs)
     inner = sum(gs[:-1])
     for t in range(1, m + 1):
         check_guard(t * inner + m - 1, guard, "weighted chain counting")
-    counts = [1]
-    if m:
-        below = _outer_prefix(gs, [g * m for g in gs], 0)
-        counts += [gs[0] * t + 1 if below is None else below[gs[0] * t + 1] for t in range(1, m + 1)]
-    return tuple(sum(map(mul, row, counts)) for row in _interpolation_table(m))
+    key = (exps, b)
+    coeffs = _classes.get(key)
+    if coeffs is None:
+        counts = [1]
+        if m:
+            below = _outer_prefix(gs, [g * m for g in gs], 0)
+            counts += [
+                gs[0] * t + 1 if below is None else below[gs[0] * t + 1] for t in range(1, m + 1)
+            ]
+        coeffs = tuple(sum(map(mul, row, counts)) for row in _interpolation_table(m))
+        _classes.put(key, coeffs)
+    return coeffs
 
 
 def classical_ehrhart_scaled_simplex(

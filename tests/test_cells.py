@@ -12,6 +12,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropevol import cells
 from tropevol.cells import (
     AlcovedSimplex,
     CellComplex,
@@ -32,7 +33,7 @@ from tropevol.fixtures import (
     fix_prod,
     fix_tri,
 )
-from tropevol.guard import check_guard, resolve_guard
+from tropevol.guard import BoundedTable, check_guard, resolve_guard
 from tropevol.volumes import cartesian_product, tlvol_triangulation
 
 
@@ -180,6 +181,9 @@ def _reference_4x6(seed):
 
 
 def _fibre_cases():
+    """Seeded windows with 1-4 rows, repeated columns, points, more rows than
+    columns, fixtures, 4x6 reference inputs and the volume benchmark's
+    two-block 4-row shape (two 2x3 0/1 blocks, off-diagonal constant 5-7)."""
     rng = random.Random(1908)
     for _ in range(150):
         m = _window_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
@@ -194,6 +198,12 @@ def _fibre_cases():
              fix_delta2(), alcove_simplex((1, 2)), alcove_simplex((0, 3, 1)),
              cartesian_product(*fix_prod(3))]
     yield from fixed + [_reference_4x6(seed) for seed in (2, 3, 4)]
+    for c in (5, 6, 7):
+        for _ in range(3):
+            a, b = ([[rng.randint(0, 1) for _ in range(3)] for _ in range(2)] for _ in range(2))
+            yield TropMatrix.from_rows(
+                [a[0] + [c] * 3, a[1] + [c] * 3, [c] * 3 + b[0], [c] * 3 + b[1]]
+            )
 
 
 def test_lattice_points_match_box_scan_oracle():
@@ -294,6 +304,38 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except GuardExceeded as exc:
         return "guard", str(exc), exc.required, exc.limit
+
+
+def test_guard_truncated_walks_are_never_kept():
+    # after a guarded call, tripped or not, every pattern in the table holds
+    # the chains of its full walk: a walk the guard cut short is dropped
+    tripped = Counter()
+    for m in _pattern_cases():
+        size = len(dfs_triangulation(m))
+        for guard in sorted({1, 2, 3, size // 3, size // 2, size - 3, size - 2, size}):
+            if guard < 1:
+                continue
+            cells._patterns.clear()
+            got = outcome(enumerate_triangulation, m, guard)
+            tripped[got[1].split(" needs")[0] if got[0] == "guard" else "value"] += 1
+            kept = {key: cells._patterns.get(key).by_dim for key in cells._patterns.keys()}
+            cells._patterns.clear()
+            for (pattern, d), by_dim in kept.items():
+                full = cells._pattern_shapes(pattern, d, size + 1)
+                assert full.by_dim == by_dim, (m.entries, guard)
+    assert tripped["chain enumeration"] >= 50 and tripped["value"] >= 20, tripped
+
+
+def test_bounded_table_keeps_the_most_recent_entries():
+    table = BoundedTable(3)
+    for key in "abc":
+        table.put(key, key.upper())
+    assert table.get("a") == "A"  # a becomes the most recent entry
+    table.put("d", "D")  # past the cap, b, the least recent, goes
+    assert table.keys() == ["c", "a", "d"] and len(table) == 3
+    assert table.get("b") is None
+    table.clear()
+    assert len(table) == 0 and table.get("a") is None
 
 
 def test_triangulation_guard():

@@ -49,7 +49,7 @@ from tropevol.fixtures import (
 from tropevol.ratpoly import lagrange_interpolate, poly_eval
 from tropevol.volumes import cartesian_product, discrete_surface
 
-from test_cells import dfs_triangulation, outcome
+from test_cells import _tables_of, dfs_triangulation, outcome
 
 
 # Frozen count tables for the triangle-with-tail shape, length parameter 4.
@@ -607,22 +607,87 @@ def test_interpolation_table_is_integral_and_matches_lagrange():
             assert got == lagrange_interpolate(list(enumerate(ys))), (m, ys)
 
 
-def test_formula_calls_keep_no_state_between_calls(monkeypatch):
-    # every call repeats its own counts: only the per-dimension table is cached
-    calls = []
-    chain = ehrhart._outer_prefix
+def _clear_tables():
+    cells._patterns.clear()
+    ehrhart._classes.clear()
 
-    def counting(gs, tops, s):
-        calls.append((gs, tuple(tops), s))
-        return chain(gs, tops, s)
 
-    monkeypatch.setattr(ehrhart, "_outer_prefix", counting)
-    cx = enumerate_triangulation(fix_l(4).translate(3))
-    first = coeffs_via_formula(cx, 2)
-    made = list(calls)
-    calls.clear()
-    assert coeffs_via_formula(cx, 2) == first
-    assert made and calls == made
+def _complex_tables(m, guard):
+    cx = enumerate_triangulation(m, guard)
+    return cx.cells, _tables_of(cx)
+
+
+def _table_cases():
+    """Seeded 1-4 row matrices, translated by 0..2, and fixtures whose cells
+    have blocks far apart, so that some class costs more than the cells."""
+    rng = random.Random(2301)
+    for _ in range(14):
+        d = rng.randint(1, 4)
+        top = {1: 8, 2: 9, 3: 5, 4: 2}[d]
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(0, top) for _ in range(n)] for _ in range(d)]
+        yield TropMatrix.from_rows(rows).translate(rng.randint(0, 2))
+    yield from (fix_4d(), fix_tri(6, 2), fix_tri(4, 1).translate(2), alcove_simplex((3, 1)))
+    yield from (alcove_simplex((0, 4, 2)), alcove_simplex((0, 3, 1, 2)).translate(1))
+
+
+def test_warm_tables_give_cold_answers_and_guard_errors():
+    # the pattern and class tables kept across calls change no answer: a call
+    # on empty tables and the same call after a full run on the same input
+    # agree on every value, the tally order and each table of the complex,
+    # and on each GuardExceeded message, required and limit; the tight
+    # guards trip in every stage, chain enumeration and chain counting
+    # included, so a table read before its guard charge shows here
+    stages = collections.Counter()
+    for m in _table_cases():
+        box = math.prod(hi - lo + 1 for lo, hi in cells.bounding_box(m))
+        size = len(dfs_triangulation(m))
+        for b in (2, 3):
+            # the largest class charge, as _class_coeffs charges it at t = m
+            charge = max(
+                len(e) * sum(b ** (x - min(e)) for x in e[:-1]) + len(e) - 1
+                for e in enumerate_triangulation(m).exponent_tally
+            )
+            tight = {box, (box + size) // 2, size - 2, size, charge // 2, charge - 1, 2 * charge}
+            for guard in sorted(g for g in tight if g > 0) + [None]:
+                for route, args in (
+                    (_complex_tables, (m, guard)),
+                    (coeffs_via_formula, (m, b, guard)),
+                    (interior_coeffs_via_formula, (m, b, guard)),
+                ):
+                    _clear_tables()
+                    cold = outcome(route, *args)
+                    route(*args[:-1], None)  # fill both tables for this input
+                    assert outcome(route, *args) == cold, (route.__name__, m.entries, b, guard)
+                    stages[cold[1].split(" needs")[0] if cold[0] == "guard" else "value"] += 1
+    assert min(stages.values()) >= 20 and len(stages) == 4, stages
+
+
+def test_tables_hold_only_patterns_and_shifted_classes():
+    # after any mix of routes, the pattern table holds exactly the (cube
+    # pattern, d) of the lattice points triangulated, and the class table
+    # exactly the (shifted exponent tuple, b) of the classes summed
+    _clear_tables()
+    want_patterns, want_classes = set(), set()
+    for m in _table_cases():
+        d = m.rows
+        pts = lattice_points(m)
+        for p in pts:
+            pattern = sum(
+                1 << S for S in range(1 << d)
+                if tuple(x + (S >> i & 1) for i, x in enumerate(p)) in pts
+            )
+            want_patterns.add((pattern, d))
+        cx = enumerate_triangulation(m)
+        for b in (2, 5):
+            for exps in cx.exponent_tally:
+                s = min(exps, default=0)
+                want_classes.add((tuple(e - s for e in exps), b))
+            coeffs_via_formula(m, b)
+            interior_coeffs_via_formula(m, b)
+            c_dminus1_direct(m, b)
+    assert set(cells._patterns.keys()) == want_patterns
+    assert set(ehrhart._classes.keys()) == want_classes
 
 
 def _plain_formula_sum(cells, d, b):
