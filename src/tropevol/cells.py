@@ -207,18 +207,31 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
     others = [i for i in range(m.rows) if i != a]
     order = others + [a]
     pts = set()
+    inf = float("inf")
 
     def sweep(c, xs):
         row = rows[order[len(xs)]]
-        hi = max(min(cj + e, e) for cj, e in zip(c, row))
-        lo = min((e for cj, e in zip(c, row) if cj >= 0), default=hi + 1)
+        hi, lo = -inf, inf
+        for cj, e in zip(c, row):
+            if cj < 0:
+                if cj + e > hi:
+                    hi = cj + e
+            else:
+                if e > hi:
+                    hi = e
+                if e < lo:
+                    lo = e
+        if lo > hi:
+            return
         for i, xi in zip(others, xs):
-            lo = max(lo, min(
-                (cj + e for cj, e, mij in zip(c, row, rows[i]) if cj == xi - mij <= 0),
-                default=hi + 1,
-            ))
-            if lo > hi:
-                return
+            need = inf
+            for cj, e, mij in zip(c, row, rows[i]):
+                if cj == xi - mij <= 0 and cj + e < need:
+                    need = cj + e
+            if need > lo:
+                lo = need
+                if lo > hi:
+                    return
         if len(xs) < len(others):
             for xk in range(lo, hi + 1):
                 sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
@@ -226,7 +239,7 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
         head, tail = xs[:a], xs[a:]
         pts.update(head + (s,) + tail for s in range(lo, hi + 1))
 
-    sweep([float("inf")] * m.cols, ())
+    sweep([inf] * m.cols, ())
     return pts
 
 
@@ -553,22 +566,28 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     Each lattice point p gets its cube pattern, the sets S with p + 1_S in
     the hull, from 2**d - 1 set lookups.  A pattern's chains are walked
     once per process (see _pattern_shapes) and shared by every point that
-    has it.  The guard counts cells in base order and trips at guard + 2 of
-    them, naming the guard + 1 steps that a cell-by-cell walk would have
-    reached.
+    has it; the call keeps its own patterns in a plain dict, so it reads the
+    shared table once per distinct pattern, not once per point.  The guard
+    counts cells in base order and trips at guard + 2 of them, naming the
+    guard + 1 steps that a cell-by-cell walk would have reached.  A walk
+    cut short at its limit trips the guard at once, so the dict only ever
+    hands out complete walks.
     """
     guard = resolve_guard(guard)
     pts = lattice_points(m, guard)
     d = m.rows
     units = _units(d)
     shapes = {}
+    seen = {}  # pattern -> ChainShapes, for this call
     made = 0
     for p in sorted(pts):
         pattern = 1
         for S in range(1, 1 << d):
             if tuple(map(add, p, units[S])) in pts:
                 pattern |= 1 << S
-        sh = _pattern_shapes(pattern, d, guard + 1 - made)
+        sh = seen.get(pattern)
+        if sh is None:
+            sh = seen[pattern] = _pattern_shapes(pattern, d, guard + 1 - made)
         made += sh.size
         check_guard(min(made - 1, guard + 1), guard, "chain enumeration")
         shapes[p] = sh

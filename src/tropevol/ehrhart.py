@@ -9,8 +9,9 @@ Two counting regimes share one polytope:
   closed forms in the other coordinates, so the count sweeps the box one
   fibre along its longest axis at a time: work and memory are the box size
   over the longest side, not the box size.  The scan runs on a sparse numpy
-  grid of the other coordinates, in int32 when every value fits (big**2 + 1
-  < 2**31, see count_maxtimes), else in int64 or in Python ints.
+  grid of the other coordinates, in the narrowest of int16, int32, int64
+  and Python ints that holds every value, up to big**2 + 1 (see
+  count_maxtimes); the one code path serves every dtype.
 * tropical: the count of b-power lattice points of the tropical dilate k (.) P
   equals the max-times count at t = b**k.  The max-times hull scales
   linearly, so z lies in b**k * exp_b(P) iff b**(K-k) * z lies in
@@ -153,6 +154,24 @@ def _fibre_axis(m: TropMatrix) -> int:
     return tops.index(max(tops))
 
 
+def _grid_dtype(big: int):
+    """The narrowest dtype of _fibres' grid that holds every value, up to big**2 + 1.
+
+    int16 when big**2 + 1 < 2**15, int32 when it is below 2**31, int64 when
+    big**2 < 2**62, else Python ints (object).  NumPy rejects a Python int
+    scalar outside an array's dtype, so every scalar the scan mixes into the
+    grid (inf, big, -1, and the sublattice step s <= big) fits as well.
+    """
+    inf = big * big + 1
+    if inf < 2 ** 15:
+        return _np.int16
+    if inf < 2 ** 31:
+        return _np.int32
+    if big * big < 2 ** 62:
+        return _np.int64
+    return object
+
+
 def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
     """(lo, hi): the fibre of t * exp_b(P) above each point of the grid.
 
@@ -163,19 +182,18 @@ def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
     first array axis, so every product z_k * w_kj and every quotient by w_aj
     is taken on a 1-D axis, using floor(min_k x_k / w) = min_k floor(x_k / w),
     and only the minima over k, the comparisons and the reductions over the
-    columns run on the full grid, one numpy call each for all columns.
+    columns run on the full grid, one numpy call each for all columns.  No
+    full-grid select runs: a row's lower bound is a masked minimum, the
+    least of max(need_j, inf * (c_j != tight_j)) over the columns, which
+    equals the least need_j over the tight columns as every need is below
+    inf.  The grid's dtype is _grid_dtype(big), the same code path for each.
     """
     n = m.cols
     tb = [[0 if e is None else t * b ** e for e in row] for row in m.entries]
     side = [max(row) for row in tb]
     big = t * b ** (m.max_entry() or 0)
     inf = big * big + 1  # above every z_i * w_ij, as z_i <= big and w_ij <= big
-    if inf < 2 ** 31:
-        dtype = _np.int32
-    elif big * big < 2 ** 62:
-        dtype = _np.int64
-    else:
-        dtype = object
+    dtype = _grid_dtype(big)
     a = _fibre_axis(m)
     others = [i for i in range(m.rows) if i != a]
 
@@ -206,7 +224,8 @@ def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
         # is 0 (c_j = 0 wherever tb_ij > 0), so no z_i > 0 mask is needed.
         need = _np.where(tb_a > 0, -(-x // w_a), 0)
         tight = _np.where(z <= col([e if e else -1 for e in tb[i]]), x, -1)
-        bounds.append(_np.where(c == tight, need, inf).min(axis=0))
+        masked = _np.multiply(c != tight, inf, dtype=dtype)
+        bounds.append(_np.maximum(masked, need, out=masked).min(axis=0))
     lo = functools.reduce(_np.maximum, bounds)
     return _np.asarray(lo, dtype), _np.asarray(hi, dtype)
 
@@ -242,9 +261,11 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
 
     The other coordinates form a sparse numpy grid of box size / longest
     side points, which bounds the memory (see _fibres).  Every value is at
-    most big * big + 1, so the grid holds int32 when that is below 2**31,
-    int64 when big * big < 2**62 and Python ints otherwise; the fibre
-    lengths are summed in int64 or in Python ints.
+    most big * big + 1, so the grid holds int16 when that is below 2**15,
+    int32 when it is below 2**31, int64 when big * big < 2**62 and Python
+    ints otherwise (_grid_dtype); the fibre lengths are summed in int64 or
+    in Python ints.  Each row's least bound over the tight columns is a
+    masked minimum, with no full-grid select (see _fibres).
 
     The hull scales linearly: z lies in (t / s) * exp_b(P) iff s * z lies in
     t * exp_b(P).  So for every divisor s of t, the count at t / s is the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -324,6 +325,57 @@ def test_guard_truncated_walks_are_never_kept():
                 full = cells._pattern_shapes(pattern, d, size + 1)
                 assert full.by_dim == by_dim, (m.entries, guard)
     assert tripped["chain enumeration"] >= 50 and tripped["value"] >= 20, tripped
+
+
+def test_a_call_reads_the_pattern_table_once_per_distinct_pattern(monkeypatch):
+    # two blocks of two rows, as in fixture 4D: 11 lattice points with 6
+    # cube patterns, and 39 cells over a 36-point box, so the guard can trip
+    # in the chain enumeration, at a pattern seen earlier in the call and at
+    # a fresh one whose walk the limit cuts short
+    m = TropMatrix.from_rows(
+        [[2, 1, 2, 2, 2, 2], [1, 1, 2, 2, 2, 2], [2, 2, 2, 2, 0, 0], [2, 2, 2, 0, 0, 2]]
+    )
+    d, pts = m.rows, lattice_points(m)
+    patterns = [
+        sum(1 << S for S in range(1 << d) if tuple(x + (S >> i & 1) for i, x in enumerate(p)) in pts)
+        for p in sorted(pts)
+    ]
+    per_base = Counter(c.base for c in dfs_triangulation(m))
+    made = list(itertools.accumulate(per_base[p] for p in sorted(pts)))
+    box = math.prod(hi - lo + 1 for lo, hi in bounding_box(m))
+    assert (len(pts), len(set(patterns)), made[-1], box) == (11, 6, 39, 36)
+    reads = []
+
+    class CountingTable(BoundedTable):
+        def get(self, key):
+            reads.append(key)
+            return super().get(key)
+
+    monkeypatch.setattr(cells, "_patterns", CountingTable(cells.PATTERN_TABLE_CAP))
+    for _ in ("cold", "warm"):
+        reads.clear()
+        enumerate_triangulation(m)
+        assert Counter(reads) == {(pattern, d): 1 for pattern in patterns}
+    # a cell-by-cell walk trips at the first base whose cells take the count
+    # past guard + 1, and names min(count - 1, guard + 1) steps
+    trips = set()
+    for guard in range(box, made[-1] + 1):
+        at = next((i for i, n in enumerate(made) if n - 1 > guard), None)
+        if at is None:
+            want = ("value",)
+        else:
+            required = min(made[at] - 1, guard + 1)
+            want = ("guard", f"chain enumeration needs about {required} steps, guard is {guard}",
+                    required, guard)
+            before = made[at - 1] if at else 0
+            trips.add("repeated" if patterns[at] in patterns[:at]
+                      else "cut short" if per_base[sorted(pts)[at]] > guard + 1 - before
+                      else "fresh")
+        for table in ("cold", "warm"):
+            if table == "cold":
+                cells._patterns.clear()
+            assert outcome(enumerate_triangulation, m, guard)[:len(want)] == want, (guard, table)
+    assert trips == {"repeated", "cut short"}
 
 
 def test_bounded_table_keeps_the_most_recent_entries():

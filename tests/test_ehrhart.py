@@ -927,14 +927,55 @@ def _seeded_counting_rows(rng):
     return rows
 
 
-def test_fibre_count_matches_box_scan_oracle():
-    # -inf entries and all -inf columns included; every row can be the fibre axis.
+_LADDER = (numpy.int16, numpy.int32, numpy.int64, object)
+_natural_dtype = ehrhart._grid_dtype
+
+
+def _on_each_rung(monkeypatch, rows, run, seen):
+    """run() once per rung of the grid dtype ladder, each grid at least that wide.
+
+    Yields each rung's result; seen counts, per dtype the scans used, the
+    inputs with a -inf entry and those with an all -inf column.
+    """
+    kinds = [
+        kind for kind, hit in (
+            ("input", True),
+            ("-inf entry", any(e is None for row in rows for e in row)),
+            ("-inf column", any(all(e is None for e in col) for col in zip(*rows))),
+        ) if hit
+    ]
+    for rung in range(len(_LADDER)):
+        used = set()
+
+        def widened(big):
+            dtype = _LADDER[max(rung, _LADDER.index(_natural_dtype(big)))]
+            used.add(dtype)
+            return dtype
+
+        monkeypatch.setattr(ehrhart, "_grid_dtype", widened)
+        yield run()
+        seen.update((dtype, kind) for dtype in used for kind in kinds)
+
+
+def _assert_every_rung_seen(seen, least):
+    for dtype in _LADDER:
+        for kind in ("input", "-inf entry", "-inf column"):
+            assert seen[dtype, kind] >= least, (dtype, kind, seen)
+
+
+def test_fibre_count_matches_box_scan_oracle(monkeypatch):
+    # -inf entries and all -inf columns included; every row can be the fibre
+    # axis; each input runs on every rung of the dtype ladder that holds it.
     rng = random.Random(5)
+    seen = collections.Counter()
     for _ in range(300):
         rows = _seeded_counting_rows(rng)
         b, t = rng.randint(2, 3), rng.randint(1, 4)
         m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
-        assert count_maxtimes(m, b, t) == _box_scan(rows, b, t), (rows, b, t)
+        want = _box_scan(rows, b, t)
+        for got in _on_each_rung(monkeypatch, rows, lambda: count_maxtimes(m, b, t), seen):
+            assert got == want, (rows, b, t)
+    _assert_every_rung_seen(seen, 50)
 
 
 def test_fibre_count_is_invariant_under_row_permutations():
@@ -995,14 +1036,20 @@ def test_dilate_counts_match_a_scan_per_dilate():
                 count_maxtimes(m, b, b ** len(counts), guard=20_000)
 
 
-def test_dilate_counts_match_box_scan_oracle_on_small_boxes():
+def test_dilate_counts_match_box_scan_oracle_on_small_boxes(monkeypatch):
     rng = random.Random(9)
+    seen = collections.Counter()
     for _ in range(120):
         rows = _seeded_dilate_rows(rng)
         b = rng.choice((2, 3, 5))
         m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
         counts = ehrhart._dilate_counts(m, b, 2, 3_000)
         assert counts == [_box_scan(rows, b, b ** k) for k in range(len(counts))], (rows, b)
+        for got in _on_each_rung(
+            monkeypatch, rows, lambda: ehrhart._dilate_counts(m, b, 2, 3_000), seen
+        ):
+            assert got == counts, (rows, b)
+    _assert_every_rung_seen(seen, 40)
 
 
 def test_dilate_counts_on_either_side_of_the_int32_grid():
@@ -1019,6 +1066,24 @@ def test_dilate_counts_on_either_side_of_the_int32_grid():
     for t, dtype in ((46340, numpy.int32), (46341, numpy.int64)):
         assert ehrhart._fibres(edge, 2, t)[0].dtype == dtype
         assert count_maxtimes(edge, 2, t) == _box_scan([[0, 0], [None, None]], 2, t)
+
+
+def test_dilate_counts_on_either_side_of_the_int16_grid():
+    # the segment family of the int32 case at k = 2: big = 2**(e + 2) is 128
+    # (int16) or 256 (int32) at b = 2, and 3**(e + 2) is 81 or 243 at b = 3
+    for b, e, dtype in ((2, 5, numpy.int16), (2, 6, numpy.int32), (3, 2, numpy.int16),
+                        (3, 3, numpy.int32)):
+        rows = [[0, e], [0, 0]]
+        m = TropMatrix.from_rows(rows)
+        counts = ehrhart._dilate_counts(m, b, 2, 10 ** 5)
+        assert counts == [b ** k * (b ** e - 1) + 1 for k in range(3)], (b, e)
+        assert counts == [_box_scan(rows, b, b ** k) for k in range(3)], (b, e)
+        assert ehrhart._fibres(m, b, b ** 2)[0].dtype == dtype, (b, e)
+    # one row all -inf: big = t, and 181**2 + 1 < 2**15 <= 182**2 + 1
+    edge = TropMatrix(((0, 0), (None, None)), allow_minus_inf_columns=True)
+    for t, dtype in ((181, numpy.int16), (182, numpy.int32)):
+        assert ehrhart._fibres(edge, 2, t)[0].dtype == dtype
+        assert count_maxtimes(edge, 2, t) == _box_scan([[0, 0], [None, None]], 2, t) == 1
 
 
 def test_dilate_counts_on_python_ints_through_a_raised_guard():
