@@ -42,6 +42,7 @@ from .ehrhart import (
 )
 from .errors import GuardExceeded, ValidationError
 from .linalg import (
+    _column_subset_table,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -53,6 +54,7 @@ from .linalg import (
     tropical_rank,
 )
 from .volumes import (
+    _tlvol_from_table,
     cartesian_product,
     discrete_surface,
     qtvol_plus,
@@ -410,7 +412,11 @@ def suite_ehrhart(seed=0, cases=15) -> SuiteResult:
 
 
 def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
-    """Criterion-style cross-algorithm oracle: volumes and counts must agree."""
+    """Criterion-style cross-algorithm oracle: volumes and counts must agree.
+
+    tlvol comes three ways: the Hungarian subset sweep, the triangulation,
+    and the volume report's reading of its column subset table.
+    """
     res = SuiteResult("cross-volume")
     rng = random.Random(seed)
     for _ in range(cases):
@@ -418,11 +424,18 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
         m = _rand_matrix(rng, lo=0, hi=4, max_rows=3, max_cols=5)
         d = m.rows
         complex_ = enumerate_triangulation(m)
-        sub_val = tlvol_subsets(m)[0]
+        sub = tlvol_subsets(m)
         tri_val = tlvol_triangulation(complex_)[0]
         res.check(
-            sub_val == tri_val,
-            f"tlvol subsets {sub_val!r} != triangulation {tri_val!r} on {m.entries}",
+            sub[0] == tri_val,
+            f"tlvol subsets {sub[0]!r} != triangulation {tri_val!r} on {m.entries}",
+        )
+        # The report's route, without the report's own triangulation.
+        table = _column_subset_table(m) if m.cols > m.rows else None
+        rep = _tlvol_from_table(m, table)
+        res.check(
+            rep == sub,
+            f"report tlvol {rep!r} != subsets {sub!r} on {m.entries}",
         )
         bases = (2, 3) if d <= 2 else (2,)
         for b in bases:

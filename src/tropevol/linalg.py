@@ -4,19 +4,19 @@ The tropical determinant of a square matrix is the optimal assignment value
 max_sigma sum_i A[i][sigma(i)], with forbidden (-inf) cells.  It is computed
 by a shortest-augmenting-path Hungarian method that also returns dual vectors
 u, v with A[i][j] <= u_i + v_j and equality on the optimal matching; the duals
-certify optimality and drive the Kleene-star normal form used by the volume
-pipeline.  Brute-force enumerations are kept for the quantities that are
-defined through explicit permutation expansions (second-best value, signed
-bideterminant) and double as oracles in the tests.
+certify optimality.  Brute-force enumerations are kept for the quantities
+that are defined through explicit permutation expansions (second-best value,
+signed bideterminant) and double as oracles in the tests.
 
 A volume report analyses each matrix once.  One permutation expansion per
-d x d column subset yields the best and the second-best term together, so
-a single sweep of the subsets (column_subset_volumes) gives both the
-dequantized volume qtvol+ (the best term is the determinant) and tvol (the
-gap between the two).  A simplex's one Hungarian solve serves both the
-uniqueness test and the normal form (_nonsingular_given and
-_normalize_given take a solved AssignmentResult).
-tminor keeps the Hungarian route and is the independent oracle for qtvol+.
+d x d column subset yields the best term, the second-best term and the
+first maximizing permutation together (_column_subset_table).  From that one
+table come the dequantized volume qtvol+ (the best term is the determinant),
+tvol (the gap between the two) and, in volumes, every (d+1)-column simplex
+of the barycentric volume: the terms of [0 ... 0; A_K] are the union over
+k in K of the terms of the subset K minus k.  tdet, tminor and
+_nonsingular_given keep the Hungarian route, which serves the standalone
+functionals at any size and is the independent oracle for the table.
 """
 
 from __future__ import annotations
@@ -163,24 +163,27 @@ def tdet_brute(a: TropMatrix) -> Entry:
 
 
 def _best_two(m: TropMatrix, js: Sequence[int]) -> tuple:
-    """(best, second) expansion terms of the d x d submatrix on columns js.
+    """(best, second, first maximizer) of the d x d submatrix on columns js.
 
-    second is the best term after excluding one fixed maximizer, so ties at
-    the top make it equal to best; a missing term is -inf.  Past BRUTE_LIMIT
-    columns the expansion is refused, unless the Hungarian solve shows that
-    no term is finite.
+    second is the best term after excluding the first maximizer, so ties at
+    the top make it equal to best; a missing term is -inf.  The maximizer
+    is the first bijection from the rows onto js, in permutation order,
+    that attains best (None when best is -inf).  Past BRUTE_LIMIT columns
+    the expansion is refused, unless the Hungarian solve shows that no term
+    is finite.
     """
     if len(js) > BRUTE_LIMIT and tdet(m.submatrix_columns(js)).value is None:
-        return None, None
+        return None, None, None
     best: Entry = None
     second: Entry = None
-    for _, term in _expansion_terms(m.entries, js, "second-best value"):
+    top = None
+    for sigma, term in _expansion_terms(m.entries, js, "second-best value"):
         if best is None or term > best:
             second = best
-            best = term
+            best, top = term, sigma
         elif second is None or term > second:
             second = term
-    return best, second
+    return best, second, top
 
 
 def tdet_second(a: TropMatrix) -> Entry:
@@ -308,7 +311,7 @@ def tvol_square(a: TropMatrix):
     marker when only one permutation has a finite expansion term.  -inf (None)
     when even the best value is -inf.
     """
-    best, second = _best_two(a, range(_require_square(a)))
+    best, second, _ = _best_two(a, range(_require_square(a)))
     if best is None:
         return None
     if second is None:
@@ -316,25 +319,23 @@ def tvol_square(a: TropMatrix):
     return best - second
 
 
-def column_subset_volumes(m: TropMatrix) -> tuple:
-    """(qtvol+, its columns, tvol, its columns) from one sweep of the d-subsets.
-
-    qtvol+ is the largest tropical d-minor, tvol the largest tvol_square over
-    the d x d column submatrices; both come from one expansion per subset.
-    The witnesses are the first column subsets in lexicographic order that
-    attain the maximum.  A subset with the UNIQUE_GAP marker dominates every
-    numeric gap, and the first such subset is the tvol witness; a subset with
-    -inf determinant contributes to neither.  Both values are -inf, with no
-    witness, when every subset has -inf determinant.
-    """
+def _column_subset_table(m: TropMatrix) -> dict:
+    """columns js -> _best_two(m, js) for every d-subset, in lexicographic order."""
     d, cols = m.rows, m.cols
     if cols < d:
         raise ValidationError(f"need at least {d} columns, got {cols}")
+    return {js: _best_two(m, js) for js in combinations(range(cols), d)}
+
+
+def _volumes_from_table(table: dict) -> tuple:
+    """(qtvol+, its columns, tvol, its columns) read off a column subset table.
+
+    See column_subset_volumes for the values and the witness rules.
+    """
     top = top_js = None
     gap = gap_js = None
     unique_js = None
-    for js in combinations(range(cols), d):
-        best, second = _best_two(m, js)
+    for js, (best, second, _) in table.items():
         if best is None:
             continue
         if top is None or best > top:
@@ -349,6 +350,20 @@ def column_subset_volumes(m: TropMatrix) -> tuple:
     return top, top_js, gap, gap_js
 
 
+def column_subset_volumes(m: TropMatrix) -> tuple:
+    """(qtvol+, its columns, tvol, its columns) from one sweep of the d-subsets.
+
+    qtvol+ is the largest tropical d-minor, tvol the largest tvol_square over
+    the d x d column submatrices; both come from one expansion per subset.
+    The witnesses are the first column subsets in lexicographic order that
+    attain the maximum.  A subset with the UNIQUE_GAP marker dominates every
+    numeric gap, and the first such subset is the tvol witness; a subset with
+    -inf determinant contributes to neither.  Both values are -inf, with no
+    witness, when every subset has -inf determinant.
+    """
+    return _volumes_from_table(_column_subset_table(m))
+
+
 def tvol_max_sub(m: TropMatrix):
     """Max of tvol_square over all d x d column submatrices of a d x m matrix.
 
@@ -358,20 +373,18 @@ def tvol_max_sub(m: TropMatrix):
 
 
 def kleene_star(a: TropMatrix) -> TropMatrix:
-    """Transitive closure of a normalized square matrix.
+    """Transitive closure: the longest-path matrix of a square matrix.
 
-    Precondition: zero diagonal and nonpositive off-diagonal entries (the shape
-    produced by _normalize_given).  Then the all-pairs longest path matrix
-    is finite-safe and idempotent.
+    Precondition: zero diagonal and no cycle of positive weight.  Then every
+    longest path may be taken simple, so the closure is finite-safe and
+    idempotent.  An optimal assignment sigma of a matrix A gives such a
+    matrix, W[i][j] = A[i][sigma(j)] - A[j][sigma(j)]: a positive cycle of W
+    would reroute sigma to a better permutation.  A positive cycle shows on
+    the closure's diagonal and raises ValidationError.
     """
     n = _require_square(a)
-    for i in range(n):
-        if a.entries[i][i] != 0:
-            raise ValidationError("kleene_star needs a zero diagonal")
-        for j in range(n):
-            e = a.entries[i][j]
-            if i != j and e is not None and e > 0:
-                raise ValidationError("kleene_star needs nonpositive off-diagonal entries")
+    if any(a.entries[i][i] != 0 for i in range(n)):
+        raise ValidationError("kleene_star needs a zero diagonal")
     w = [list(row) for row in a.entries]
     for k in range(n):
         wk = w[k]
@@ -386,42 +399,9 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
                 cand = wik + wk[j]
                 if wi[j] is None or cand > wi[j]:
                     wi[j] = cand
+    if any(w[i][i] != 0 for i in range(n)):
+        raise ValidationError("kleene_star needs a matrix without positive cycles")
     return TropMatrix._trusted(tuple(tuple(row) for row in w), True)
-
-
-@dataclass(frozen=True)
-class NormalizedAssignment:
-    """Diagonally normalized form of a square matrix.
-
-    matrix has zero diagonal and nonpositive off-diagonal entries; it equals
-    diag(-u) (x) A (x) column permutation/rescaling determined by sigma, v.
-    """
-
-    matrix: TropMatrix
-    sigma: tuple
-    u: tuple
-    v: tuple
-
-
-def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignment:
-    """Permute columns by the solved assignment res = tdet(a) and subtract the duals.
-
-    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
-    <= 0 elsewhere whenever the determinant is finite.
-    """
-    if res.value is None:
-        raise ValidationError("the assignment normal form needs a finite tropical determinant")
-    n = a.rows
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            col = res.sigma[j]
-            e = a.entries[i][col]
-            row.append(None if e is None else e - res.u[i] - res.v[col])
-        rows.append(tuple(row))
-    c = TropMatrix._trusted(tuple(rows), True)
-    return NormalizedAssignment(c, res.sigma, res.u, res.v)
 
 
 def tminor(m: TropMatrix, i: int):

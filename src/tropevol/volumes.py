@@ -6,7 +6,14 @@ coefficient and is computed here by two independent exact algorithms:
 * subsets: for every (d+1)-column simplex, the d-trunk (if any) is a
   polytrope generated by columns of a Kleene star; its componentwise
   maximum is the trunk barycenter and the best coordinate sum over all
-  subsets is tlvol (tropical Caratheodory).
+  subsets is tlvol (tropical Caratheodory).  The trunk exists when
+  abar = [0 ... 0; A_K] is tropically nonsingular.  Given its optimal
+  assignment sigma, W[i][j] = abar[i][sigma(j)] - abar[j][sigma(j)] has a
+  zero diagonal and no positive cycle, and for duals u, v tight on sigma
+  the assignment normal form is C[i][j] = W[i][j] - u_i + u_j.  So
+  C* = W* up to that diagonal scaling, the duals cancel from the trunk's
+  columns S[i][j] - S[0][j] + u_i - u_0, and the barycenter is
+  bt_i = max_j (W*[i][j] - W*[0][j]) (_trunk_barycenter).
 * triangulation: tlvol is the maximal a_1+...+a_d+d over full-dimensional
   unimodular alcoves of the canonical cell decomposition.
 
@@ -24,9 +31,12 @@ delta_F in {0, 1/2, 1} (a facet of at most two d-cells) and e_F the sum of
 F's chain weight exponents.  No term is negative, so nothing cancels and
 the degree is d - 1 plus the largest e_F with delta_F nonzero.  A report
 triangulates its matrix once and reads every functional off that complex.
-It also sweeps the d-column subsets once for qtvol+ and tvol together
-(column_subset_volumes), and solves one assignment problem per
-(d+1)-column simplex.
+It also expands the d-column subsets once, into a table of the best and
+second-best terms and the first maximizer of each (linalg), and reads
+qtvol+, tvol and every simplex of tlvol off that table (_tlvol_from_table),
+so it solves no assignment problem.  The standalone tlvol_subsets solves
+one per simplex, valid at any size, and is the reference the tests compare
+the report against.
 The triangulation and the i-volumes take any finite integer matrix as it
 is; only the discrete surface, a count, needs entries in Z>=0.
 """
@@ -43,9 +53,9 @@ from .ehrhart import counting_complex, weighted_facets
 from .errors import CrossCheckError, ValidationError
 from .linalg import (
     UNIQUE_GAP,
+    _column_subset_table,
     _nonsingular_given,
-    _normalize_given,
-    column_subset_volumes,
+    _volumes_from_table,
     kleene_star,
     tdet,
     tminor,
@@ -57,15 +67,38 @@ def tropical_barycenter(m: TropMatrix) -> tuple:
     return tuple(tsum(row) for row in m.entries)
 
 
+def _trunk_barycenter(rows, sigma) -> tuple:
+    """bt_i = max_j (W*[i][j] - W*[0][j]) for W[i][j] = rows[i][s_j] - rows[j][s_j].
+
+    rows is abar, row 0 all zeros, and sigma (s_j = sigma[j]) an optimal
+    assignment of it with a finite value; see the module docstring.
+    """
+    n = len(sigma)
+    w = []
+    for row in rows:
+        w.append(tuple(
+            None if row[s] is None else row[s] - rows[j][s]
+            for j, s in enumerate(sigma)
+        ))
+    star = kleene_star(TropMatrix._trusted(tuple(w), True)).entries
+    top = star[0]
+    return tuple(
+        max(sij - t for sij, t in zip(star[i], top) if sij is not None)
+        for i in range(1, n)
+    )
+
+
 def simplex_dtrunk_barycenter(m: TropMatrix) -> Optional[tuple]:
     """Barycenter of the d-trunk of a (d+1)-column simplex, or None.
 
-    Appends a row of tropical ones, tests non-singularity, normalizes by the
-    assignment duals so the optimal diagonal is 0 with off-diagonal <= 0,
-    closes up with the Kleene star, and undoes the normalization: column j
-    of the trunk has coordinates S[i][j] - S[0][j] + u[i] - u[0].  Column
-    scalings drop out (they do not move a tropical hull), the zero-th row
-    rescaling fixes the projective representative.
+    Appends a row of tropical ones and tests non-singularity with one
+    Hungarian solve.  Its optimal assignment sigma closes up, with the
+    Kleene star, into the trunk's generators, and the barycenter is
+    bt_i = max_j (W*[i][j] - W*[0][j]) with W[i][j] = abar[i][sigma(j)] -
+    abar[j][sigma(j)].  That equals S[i][j] - S[0][j] + u[i] - u[0] for the
+    star S of the dual normal form, since the duals cancel (module
+    docstring).  Column scalings drop out (they do not move a tropical
+    hull), the zero-th row fixes the projective representative.
     """
     d = m.rows
     if m.cols != d + 1:
@@ -76,21 +109,7 @@ def simplex_dtrunk_barycenter(m: TropMatrix) -> Optional[tuple]:
     res = tdet(abar)
     if not _nonsingular_given(abar, res):
         return None
-    na = _normalize_given(abar, res)
-    star = kleene_star(na.matrix)
-    u = na.u
-    bt = []
-    for i in range(1, d + 1):
-        best = None
-        for j in range(d + 1):
-            sij = star.entries[i][j]
-            if sij is None:
-                continue
-            val = sij - star.entries[0][j] + u[i] - u[0]
-            if best is None or val > best:
-                best = val
-        bt.append(best)
-    return tuple(bt)
+    return _trunk_barycenter(abar.entries, res.sigma)
 
 
 def tlvol_subsets(m: TropMatrix):
@@ -114,6 +133,43 @@ def tlvol_subsets(m: TropMatrix):
     return best, witness
 
 
+def _tlvol_from_table(m: TropMatrix, table: Optional[dict]):
+    """tlvol_subsets(m), with each simplex read off m's column subset table.
+
+    For K = (k_0 < ... < k_d), abar_K's best term is the largest best value
+    over the subsets K minus k.  abar_K is nonsingular iff exactly one k
+    attains it and that subset's second term is below its best, and then
+    its optimal assignment sends row 0 to k and the rest by the subset's
+    maximizer.  Duplicate columns fail that test: both copies give the same
+    best value, and a subset holding both has a tied maximizer.
+    """
+    d = m.rows
+    if m.cols < d + 1:
+        return None, None
+    rows = ((0,) * m.cols,) + m.entries
+    best = None
+    witness = None
+    for K in itertools.combinations(range(m.cols), d + 1):
+        top = arg = None
+        tied = False
+        for p in range(d + 1):
+            entry = table[K[:p] + K[p + 1:]]
+            value = entry[0]
+            if value is None:
+                continue
+            if top is None or value > top:
+                top, arg, tied = value, (K[p],) + entry[2], entry[1] == value
+            elif value == top:
+                tied = True
+        if top is None or tied:
+            continue
+        val = sum(_trunk_barycenter(rows, arg))
+        if best is None or val > best:
+            best = val
+            witness = K
+    return best, witness
+
+
 def tlvol_triangulation(arg, guard: int | None = None):
     """(tlvol, witness base point) over full-dimensional alcoves of the complex."""
     complex_ = as_complex(arg, guard)
@@ -128,31 +184,37 @@ def tlvol_triangulation(arg, guard: int | None = None):
     return best, witness
 
 
-def _tlvol_by_method(m: TropMatrix, method: str, guard: int | None):
-    """(tlvol, subsets witness or None, complex or None) by the named method.
-
-    Only the triangulation methods build the complex of m; "both" takes the
-    subsets value and witness, cross-checked against the triangulation.
-    """
+def _complex_for(m: TropMatrix, method: str, guard: int | None):
+    """The complex of m when the method triangulates, else None."""
     if method == "subsets":
-        return (*tlvol_subsets(m), None)
+        return None
     if method not in ("triangulation", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    complex_ = as_complex(m, guard)
+    return as_complex(m, guard)
+
+
+def _tlvol_by_method(method: str, subsets, complex_):
+    """(tlvol, subsets witness or None) by the named method.
+
+    subsets is the subsets route's (tlvol, witness) pair, None for the
+    triangulation method; "both" cross-checks it against the complex.
+    """
     if method == "triangulation":
-        return tlvol_triangulation(complex_)[0], None, complex_
-    value, witness = tlvol_subsets(m)
-    other = tlvol_triangulation(complex_)[0]
-    if value != other:
-        raise CrossCheckError(
-            f"tlvol mismatch: subsets {value!r} vs triangulation {other!r}"
-        )
-    return value, witness, complex_
+        return tlvol_triangulation(complex_)[0], None
+    if method == "both":
+        other = tlvol_triangulation(complex_)[0]
+        if subsets[0] != other:
+            raise CrossCheckError(
+                f"tlvol mismatch: subsets {subsets[0]!r} vs triangulation {other!r}"
+            )
+    return subsets
 
 
 def tlvol(m: TropMatrix, method: str = "subsets", guard: int | None = None) -> Entry:
     """Tropical barycentric volume; method picks the algorithm or cross-checks."""
-    return _tlvol_by_method(m, method, guard)[0]
+    complex_ = _complex_for(m, method, guard)
+    subsets = None if method == "triangulation" else tlvol_subsets(m)
+    return _tlvol_by_method(method, subsets, complex_)[0]
 
 
 def _i_volumes(complex_: CellComplex) -> dict:
@@ -312,12 +374,18 @@ def build_volume_report(
 
     The matrix is triangulated at most once: the triangulation methods and
     the i-volumes, surface areas and discrete surface all read one complex.
+    Its d-column subsets are expanded once, into the table that qtvol+,
+    tvol and the subsets route of tlvol all read.
     """
-    tl, tl_w, complex_ = _tlvol_by_method(m, method, guard)
+    complex_ = _complex_for(m, method, guard)
+    table = None
     if m.cols >= m.rows:
-        qv, qv_w, tv, tv_w = column_subset_volumes(m)
+        table = _column_subset_table(m)
+        qv, qv_w, tv, tv_w = _volumes_from_table(table)
     else:
         qv = qv_w = tv = tv_w = None
+    subsets = None if method == "triangulation" else _tlvol_from_table(m, table)
+    tl, tl_w = _tlvol_by_method(method, subsets, complex_)
     ivols = None
     surface = None
     if m.is_finite() and m.is_integer():

@@ -491,7 +491,7 @@ def test_cross_check_failure_maps_to_exit_four(
 ) -> None:
     import tropevol.volumes as volumes
 
-    monkeypatch.setattr(volumes, "tlvol_subsets", lambda m: (99, (0, 1, 2)))
+    monkeypatch.setattr(volumes, "_tlvol_from_table", lambda m, table: (99, (0, 1, 2)))
     code = cli.main(["volume", "--fixture", "L", "--l", "4", "--method", "both"])
     captured = capsys.readouterr()
     assert code == 4

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from tropevol.core import MINUS_INF, TropMatrix, tadd
 from tropevol.errors import ValidationError
 from tropevol.linalg import (
     UNIQUE_GAP,
-    _normalize_given,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -149,6 +150,55 @@ def test_kleene_star_transitive_closure():
     assert s.entries[0][2] == -2  # two-step path beats the missing direct edge
 
 
+def _longest_simple_paths(rows):
+    """Oracle: the best weight over the simple paths i -> j (0 for i = j)."""
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 0
+        for j in range(n):
+            if i == j:
+                continue
+            others = [k for k in range(n) if k not in (i, j)]
+            for r in range(len(others) + 1):
+                for mid in itertools.permutations(others, r):
+                    path = (i, *mid, j)
+                    weight = 0
+                    for a, b in zip(path, path[1:]):
+                        if rows[a][b] is None:
+                            break
+                        weight += rows[a][b]
+                    else:
+                        out[i][j] = tadd(out[i][j], weight)
+    return out
+
+
+def test_kleene_star_allows_positive_entries_without_positive_cycles():
+    # W = N + p_i - p_j with N nonpositive: every cycle weighs what it
+    # weighs in N, yet off-diagonal entries of W can be positive.
+    rng = random.Random(2519)
+    positive = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), 5))) for _ in range(n)]
+        rows = [
+            [
+                0 if i == j else None if rng.random() < 0.25 else rng.randint(-3, 0) + p[i] - p[j]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        positive += any(e is not None and e > 0 for row in rows for e in row)
+        star = kleene_star(TropMatrix.from_rows(rows, allow_minus_inf_columns=True))
+        assert [list(row) for row in star.entries] == _longest_simple_paths(rows), rows
+    assert positive > 100
+    for cyclic in ([[0, 1], [0, 0]], [[0, 1, None], [None, 0, 1], [-1, None, 0]]):
+        with pytest.raises(ValidationError, match="positive cycles"):
+            kleene_star(TropMatrix.from_rows(cyclic, allow_minus_inf_columns=True))
+    with pytest.raises(ValidationError, match="zero diagonal"):
+        kleene_star(TropMatrix.from_rows([[0, -1], [-1, 1]]))
+
+
 def _brute_bideterminant(m):
     n = m.rows
     plus = None
@@ -214,17 +264,3 @@ def test_sign_genericity():
     assert is_sign_generic(TropMatrix.from_rows([[0, 5], [5, 0]]), 2)
     dup = TropMatrix.from_rows([[1, 1], [3, 3]])
     assert not is_sign_generic(dup, 2)
-
-
-def test_assignment_normalize():
-    a = TropMatrix.from_rows([[0, 2], [1, 0]])
-    norm = _normalize_given(a, tdet(a))
-    n = norm.matrix
-    for i in range(2):
-        assert n.entries[i][i] == 0
-        for j in range(2):
-            assert tadd(n.entries[i][j], 0) == 0  # off-diagonal <= 0
-            assert (
-                n.entries[i][j]
-                == a.entries[i][norm.sigma[j]] - norm.u[i] - norm.v[norm.sigma[j]]
-            )

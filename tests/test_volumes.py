@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from tropevol.core import (
     act,
     max_subset_sum,
     min_subset_sum,
+    tadd,
 )
 from tropevol.ehrhart import log_coefficient
 from tropevol.errors import CrossCheckError, ValidationError
@@ -37,7 +39,7 @@ from tropevol.fixtures import (
     fix_tri,
 )
 from tropevol.linalg import (
-    _normalize_given,
+    AssignmentResult,
     is_nonsingular,
     kleene_star,
     tdet,
@@ -565,9 +567,57 @@ def _i_volume_by_trunk(complex_, i: int, key):
     return best, witness
 
 
+@dataclass(frozen=True)
+class NormalizedAssignment:
+    """Diagonally normalized form of a square matrix.
+
+    matrix has zero diagonal and nonpositive off-diagonal entries; it equals
+    diag(-u) (x) A (x) column permutation/rescaling determined by sigma, v.
+    """
+
+    matrix: TropMatrix
+    sigma: tuple
+    u: tuple
+    v: tuple
+
+
+def _normalize_given(a: TropMatrix, res: AssignmentResult) -> NormalizedAssignment:
+    """Oracle: permute columns by the solved assignment res = tdet(a) and
+    subtract the duals.
+
+    C[i][j] = A[i][sigma(j)] - u_i - v_{sigma(j)} is 0 on the diagonal and
+    <= 0 elsewhere whenever the determinant is finite.
+    """
+    assert res.value is not None
+    n = a.rows
+    rows = tuple(
+        tuple(
+            None if a.entries[i][col] is None else a.entries[i][col] - res.u[i] - res.v[col]
+            for col in res.sigma
+        )
+        for i in range(n)
+    )
+    return NormalizedAssignment(TropMatrix(rows, True), res.sigma, res.u, res.v)
+
+
+def test_assignment_normalize() -> None:
+    a = TropMatrix.from_rows([[0, 2], [1, 0]])
+    norm = _normalize_given(a, tdet(a))
+    n = norm.matrix
+    for i in range(2):
+        assert n.entries[i][i] == 0
+        for j in range(2):
+            assert tadd(n.entries[i][j], 0) == 0  # off-diagonal <= 0
+            assert (
+                n.entries[i][j]
+                == a.entries[i][norm.sigma[j]] - norm.u[i] - norm.v[norm.sigma[j]]
+            )
+
+
 def _barycenter_from_public_steps(m: TropMatrix):
-    """simplex_dtrunk_barycenter rebuilt from is_nonsingular and
-    _normalize_given on a fresh tdet, each of which solves its own assignment."""
+    """simplex_dtrunk_barycenter rebuilt from is_nonsingular and the dual
+    normal form of a fresh tdet: S[i][j] - S[0][j] + u_i - u_0 over the
+    star S of the normal form, each step solving its own assignment."""
     d = m.rows
     abar = TropMatrix.from_rows([[0] * (d + 1)] + [list(row) for row in m.entries])
     if not is_nonsingular(abar):
@@ -594,6 +644,7 @@ def test_report_column_subset_pass_matches_the_separate_routes() -> None:
             assert (rep.tvol, rep.tvol_witness) == (None, None)
             continue
         shapes.add("square" if m.cols == m.rows else "wide")
+        assert (rep.tlvol, rep.tlvol_witness) == tlvol_subsets(m), m.entries
         assert (rep.qtvol_plus, rep.qtvol_plus_witness) == qtvol_plus(m), m.entries
         assert (rep.tvol, rep.tvol_witness) == _tvol_by_subset_loop(m), m.entries
         assert tvol_max_sub(m) == _tvol_by_subset_loop(m), m.entries
@@ -682,16 +733,42 @@ def test_report_i_volume_witnesses_are_first_strict_maximizers() -> None:
     assert (ivols[3]["plus"], ivols[3]["plus_witness"]) == (3, (1, 1, 1))
 
 
-def test_report_solves_one_assignment_per_simplex(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_report_tlvol_on_duplicate_columns_and_tied_subsets() -> None:
+    # (rows, expected (tlvol, witness), the simplices that are singular)
+    cases = [
+        # Columns 0 and 3 are equal, so each simplex holding both is singular.
+        ([[0, 2, 1, 0], [1, 0, 3, 1]], (5, (0, 1, 2)), [(0, 1, 3), (0, 2, 3)]),
+        # Three copies of one column span no simplex.
+        ([[1, 1, 1], [2, 2, 2]], (None, None), [(0, 1, 2)]),
+        # In (0, 1, 2) the best value 6 ties across the subsets (0, 1) and
+        # (0, 2), each of which has a unique best term.
+        ([[3, 2, 1, 0], [1, 3, 3, 5]], (8, (0, 1, 3)), [(0, 1, 2)]),
+        # In (0, 1, 2) only the subset (0, 2) attains the best value 4, but
+        # two of its own terms do.
+        ([[2, 1, 3, 0], [1, 0, 2, 4]], (7, (0, 2, 3)), [(0, 1, 2)]),
+        ([[0, Fraction(1, 2), None, 2], [Fraction(-1, 3), 0, 1, 0]], (3, (0, 2, 3)), []),
+    ]
+    for rows, expected, singular in cases:
+        m = TropMatrix.from_rows(rows, allow_minus_inf_columns=True)
+        rep = build_volume_report(m)
+        assert (rep.tlvol, rep.tlvol_witness) == tlvol_subsets(m) == expected, rows
+        for K in itertools.combinations(range(m.cols), m.rows + 1):
+            simplex = m.submatrix_columns(K)
+            bt = simplex_dtrunk_barycenter(simplex)
+            assert (bt is None) == (K in singular), (rows, K)
+            assert build_volume_report(simplex).tlvol == (None if bt is None else sum(bt))
+
+
+def test_report_solves_no_assignment_problem(monkeypatch: pytest.MonkeyPatch) -> None:
     tdet_calls = _count_calls(monkeypatch, tdet)
     avoided = [
         _count_calls(monkeypatch, f) for f in (tminor, tdet_second, tvol_square)
     ]
     m = TropMatrix.from_rows([[0, 3, 1, 4, 2], [2, 0, 4, 1, 3], [1, 4, 0, 2, 3]])
     for method in ("subsets", "triangulation", "both"):
-        tdet_calls.clear()
-        build_volume_report(m, method)
-        assert len(tdet_calls) <= 5, method  # C(5, 4) simplices
+        rep = build_volume_report(m, method)
+        assert rep.tlvol is not None, method
+        assert tdet_calls == [], method  # every simplex is read off the subset table
         assert avoided == [[], [], []], method
 
 
