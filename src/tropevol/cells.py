@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, or_
+from operator import add, mul, or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
@@ -564,32 +564,48 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     """All open alcoved cells contained in tconv(M), stored by base point.
 
     Each lattice point p gets its cube pattern, the sets S with p + 1_S in
-    the hull, from 2**d - 1 set lookups.  A pattern's chains are walked
-    once per process (see _pattern_shapes) and shared by every point that
-    has it; the call keeps its own patterns in a plain dict, so it reads the
-    shared table once per distinct pattern, not once per point.  The guard
-    counts cells in base order and trips at guard + 2 of them, naming the
-    guard + 1 steps that a cell-by-cell walk would have reached.  A walk
-    cut short at its limit trips the guard at once, so the dict only ever
-    hands out complete walks.
+    the hull, from 2**d - 1 integer additions and set lookups on packed
+    point codes: p is coded as sum(p_i * stride_i), with stride_i the
+    product of the box widths hi_j - lo_j + 2 over j < i, and p + 1_S as
+    that code plus the strides over S.  Every point p + 1_S has
+    lo_i <= x_i <= hi_i + 1, so two such points differ by less than
+    hi_i - lo_i + 2 in each coordinate, and distinct points get distinct
+    codes.  A pattern's chains are walked once per process (see
+    _pattern_shapes) and shared by every point that has it; the call keeps
+    its own patterns in a plain dict, so it reads the shared table once per
+    distinct pattern, not once per point.  The guard counts cells in base
+    order and trips at guard + 2 of them, naming the guard + 1 steps that a
+    cell-by-cell walk would have reached.  A walk cut short at its limit
+    trips the guard at once, so the dict only ever hands out complete walks.
     """
     guard = resolve_guard(guard)
     pts = lattice_points(m, guard)
     d = m.rows
-    units = _units(d)
+    strides = []
+    offsets = [0]  # offsets[S]: the strides over S, so p + 1_S has code(p) + offsets[S]
+    stride = 1
+    for lo, hi in bounding_box(m):
+        strides.append(stride)
+        offsets += [off + stride for off in offsets]
+        stride *= hi - lo + 2
+    order = sorted(pts)
+    codes = [sum(map(mul, p, strides)) for p in order]
+    present = set(codes)
+    bits = [(offsets[S], 1 << S) for S in range(1, 1 << d)]
     shapes = {}
     seen = {}  # pattern -> ChainShapes, for this call
     made = 0
-    for p in sorted(pts):
+    for p, code in zip(order, codes):
         pattern = 1
-        for S in range(1, 1 << d):
-            if tuple(map(add, p, units[S])) in pts:
-                pattern |= 1 << S
+        for off, bit in bits:
+            if code + off in present:
+                pattern |= bit
         sh = seen.get(pattern)
         if sh is None:
             sh = seen[pattern] = _pattern_shapes(pattern, d, guard + 1 - made)
         made += sh.size
-        check_guard(min(made - 1, guard + 1), guard, "chain enumeration")
+        if made > guard + 1:
+            check_guard(guard + 1, guard, "chain enumeration")
         shapes[p] = sh
     return CellComplex._of_shapes(d, shapes)
 

@@ -246,8 +246,10 @@ class TropMatrix:
             raw = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"matrix JSON missing field: {exc}") from exc
-        if not isinstance(r, int) or not isinstance(c, int):
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (r, c)):
             raise ValidationError("rows/cols must be integers")
+        if not isinstance(raw, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in raw):
+            raise ValidationError("entries must be a list of rows, each a list")
         if len(raw) != r or any(len(row) != c for row in raw):
             raise ValidationError("entries shape disagrees with rows/cols")
         ent = tuple(tuple(parse_entry(e) for e in row) for row in raw)

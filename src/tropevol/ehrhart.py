@@ -60,8 +60,10 @@ both keyed by the mathematics alone: the interpolation table, keyed by m,
 and the class table of _class_coeffs, keyed by (shifted tuple, b) and
 capped at CLASS_TABLE_CAP entries.  Classes recur across matrices, so a
 later call, on the same input or another, reads back every class seen
-before; it still charges the guard for each, before the lookup.  The
-triangulation keeps a third, of cube patterns (see cells).
+before.  Each entry keeps the class's largest guard charge beside its
+integers, so a hit within the guard skips the weights and the charges per
+t, and a hit past it raises what the DP would.  The triangulation keeps a
+third, of cube patterns (see cells).
 """
 
 from __future__ import annotations
@@ -455,10 +457,11 @@ def _interpolation_table(m: int) -> tuple:
 
 
 # Most class polynomials kept across calls.  An entry is a short tuple of
-# exponents and m + 1 integers, about 320 bytes on a 4x6 input at b = 3, so
-# the table stays near 1.2 MiB at this cap.
+# exponents, m + 1 integers and the largest guard charge, about 460 bytes
+# with the table's own overhead on a 4x6 input at b = 2 (390 without the
+# charge), so the table stays near 1.9 MiB at this cap.
 CLASS_TABLE_CAP = 4096
-_classes = BoundedTable(CLASS_TABLE_CAP)  # (exps, b) -> m! * c_0..m! * c_m
+_classes = BoundedTable(CLASS_TABLE_CAP)  # (exps, b) -> (m! * c_0..m! * c_m, largest charge)
 
 
 def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
@@ -475,25 +478,28 @@ def _class_coeffs(exps: tuple, b: int, guard: int) -> tuple:
     The integers depend on (exps, b) alone, and the callers pass shifted
     tuples (smallest exponent 0), so they are kept in a process-wide table
     of CLASS_TABLE_CAP entries and the same class in any later call, on any
-    matrix, reads them back.  The guard is charged before the lookup, so a
-    kept class raises exactly what its DP would.
+    matrix, reads them back.  Each entry keeps, beside the integers, the
+    largest guard charge, that of t = m: the charges grow with t, so a kept
+    class within the guard returns at once, and one past it goes through
+    the charges per t and raises exactly what its DP would.
     """
+    key = (exps, b)
+    kept = _classes.get(key)
+    if kept is not None and kept[1] <= guard:
+        return kept[0]
     gs = tuple(b ** e for e in exps)
     m = len(gs)
     inner = sum(gs[:-1])
     for t in range(1, m + 1):
         check_guard(t * inner + m - 1, guard, "weighted chain counting")
-    key = (exps, b)
-    coeffs = _classes.get(key)
-    if coeffs is None:
-        counts = [1]
-        if m:
-            below = _outer_prefix(gs, [g * m for g in gs], 0)
-            counts += [
-                gs[0] * t + 1 if below is None else below[gs[0] * t + 1] for t in range(1, m + 1)
-            ]
-        coeffs = tuple(sum(map(mul, row, counts)) for row in _interpolation_table(m))
-        _classes.put(key, coeffs)
+    counts = [1]
+    if m:
+        below = _outer_prefix(gs, [g * m for g in gs], 0)
+        counts += [
+            gs[0] * t + 1 if below is None else below[gs[0] * t + 1] for t in range(1, m + 1)
+        ]
+    coeffs = tuple(sum(map(mul, row, counts)) for row in _interpolation_table(m))
+    _classes.put(key, (coeffs, m * inner + m - 1))
     return coeffs
 
 
@@ -532,6 +538,8 @@ def _formula_sum(tally: Counter, d: int, b: int, guard: int) -> tuple:
     call of _class_coeffs per class gives the integers m! * coefficient i,
     and its contribution to d! * c_i is
     (-1)**(m-i) * (b-1)**i * sums[i] * m! * coefficient i * d! / m!.
+    The powers of b**s in sums and the signed weights
+    (-1)**(m-i) * (b-1)**i * d! / m!, one row per m, are running products.
     The d + 1 Fractions are formed once, at the end.
     """
     classes: dict = {}  # shifted tuple -> sums
@@ -539,15 +547,22 @@ def _formula_sum(tally: Counter, d: int, b: int, guard: int) -> tuple:
         s = min(exps, default=0)
         sums = classes.setdefault(tuple(e - s for e in exps), [0] * (len(exps) + 1))
         scale = b ** s
+        term = count
         for i in range(len(sums)):
-            sums[i] += count * scale ** i
+            sums[i] += term
+            term *= scale
     den = factorial(d)
+    weights = []  # weights[m][i] = (-1)**(m-i) * (b-1)**i * d! / m!
+    for m in range(d + 1):
+        row = [(-1) ** m * (den // factorial(m))]
+        for _ in range(m):
+            row.append(row[-1] * (1 - b))
+        weights.append(row)
     out = [0] * (d + 1)  # d! * c_i
     for shifted, sums in classes.items():
-        m = len(shifted)
-        per = den // factorial(m)
-        for i, c in enumerate(_class_coeffs(shifted, b, guard)):
-            out[i] += (-1) ** (m - i) * (b - 1) ** i * sums[i] * c * per
+        coeffs = _class_coeffs(shifted, b, guard)
+        for i, (w, total, c) in enumerate(zip(weights[len(shifted)], sums, coeffs)):
+            out[i] += w * total * c
     return tuple(Fraction(x, den) for x in out)
 
 

@@ -45,12 +45,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Optional
 
 from .cells import CellComplex, ambient_dim, as_complex
 from .core import Entry, TropMatrix, format_entry, tsum
 from .ehrhart import counting_complex, weighted_facets
 from .errors import CrossCheckError, ValidationError
+from .guard import check_guard, resolve_guard
 from .linalg import (
     UNIQUE_GAP,
     _column_subset_table,
@@ -375,11 +377,19 @@ def build_volume_report(
     The matrix is triangulated at most once: the triangulation methods and
     the i-volumes, surface areas and discrete surface all read one complex.
     Its d-column subsets are expanded once, into the table that qtvol+,
-    tvol and the subsets route of tlvol all read.
+    tvol and the subsets route of tlvol all read.  Both subset sweeps are
+    charged to the guard before either runs: C(n, d) expansions of d!
+    terms each, then C(n, d + 1) simplices of d + 1 table reads each for
+    tlvol.
     """
+    guard = resolve_guard(guard)
     complex_ = _complex_for(m, method, guard)
+    d, n = m.shape
+    check_guard(comb(n, d) * factorial(d), guard, "column subset sweep")
+    if method != "triangulation":
+        check_guard(comb(n, d + 1) * (d + 1), guard, "simplex subset sweep")
     table = None
-    if m.cols >= m.rows:
+    if n >= d:
         table = _column_subset_table(m)
         qv, qv_w, tv, tv_w = _volumes_from_table(table)
     else:

@@ -488,6 +488,43 @@ def test_pattern_tables_match_cell_by_cell_oracles():
     assert min(seen.values()) >= 10, seen
 
 
+def _tuple_pattern_shapes(m):
+    """Oracle for the packed point codes: each point's cube pattern from
+    2**d - 1 tuple additions p + 1_S and set lookups, in sorted point order."""
+    pts = lattice_points(m)
+    d = m.rows
+    units = [tuple(S >> i & 1 for i in range(d)) for S in range(1 << d)]
+    out = {}
+    for p in sorted(pts):
+        pattern = 1
+        for S in range(1, 1 << d):
+            if tuple(map(add, p, units[S])) in pts:
+                pattern |= 1 << S
+        out[p] = cells._pattern_shapes(pattern, d, 10**9)
+    return out
+
+
+def test_packed_point_codes_give_the_tuple_loop_shapes():
+    # the cube patterns read off packed point codes equal those of the tuple
+    # loop at every point: same keys in the same order, same chains per point,
+    # on 1-5 rows, negative entries, one-row inputs and translates
+    rng = random.Random(2601)
+    seen = Counter()
+    for _ in range(160):
+        d = rng.randint(1, 5)
+        top = {1: 7, 2: 5, 3: 3, 4: 2, 5: 1}[d]
+        lo, n = rng.randint(-4, 2), rng.randint(1, 6)
+        m = TropMatrix.from_rows([[rng.randint(lo, lo + top) for _ in range(n)] for _ in range(d)])
+        for moved in (m, m.translate(rng.randint(-5, 5))):
+            want = _tuple_pattern_shapes(moved)
+            got = enumerate_triangulation(moved).shapes
+            assert list(got) == list(want), moved.entries
+            assert [sh.by_dim for sh in got.values()] == [sh.by_dim for sh in want.values()], moved.entries
+            seen["rows %d" % d] += 1
+            seen["negative"] += not moved.is_nonnegative()
+    assert min(seen.values()) >= 20, seen
+
+
 def test_cell_is_only_its_vertex_chain():
     assert [f.name for f in dataclasses.fields(AlcovedSimplex)] == ["vertices"]
     c = AlcovedSimplex.from_chain([(0, 0), (0, 1), (1, 1)])

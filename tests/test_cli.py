@@ -472,6 +472,35 @@ def test_parse_and_validation_exits() -> None:
     assert _run("volume", "--fixture", "L", "--definitely-not-a-flag").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "text, stderr",
+    [
+        ('{"rows": 1, "cols": 1, "entries": 5}', "error: entries must be a list of rows, each a list\n"),
+        ('{"rows": 1, "cols": 1, "entries": [5]}', "error: entries must be a list of rows, each a list\n"),
+        ('{"rows": true, "cols": 1, "entries": [[5]]}', "error: rows/cols must be integers\n"),
+    ],
+)
+def test_malformed_matrix_json_exits_two(tmp_path: Path, text: str, stderr: str) -> None:
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    proc = _run("volume", "--input", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+def test_volume_subset_sweep_past_the_guard_exits_three(tmp_path: Path) -> None:
+    # a 5x40 report would expand C(40, 5) * 5! = 78,960,960 terms; the
+    # charge trips before the sweep, under the default guard
+    rng = random.Random(0)
+    rows = [[rng.randint(0, 3) for _ in range(40)] for _ in range(5)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 5, "cols": 40, "entries": rows}))
+    proc = _run("volume", "--input", str(path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "guard exceeded: column subset sweep needs about 78960960 steps, guard is 10000000\n"
+    )
+
+
 def test_plot_rejects_base_below_two() -> None:
     proc = _run("plot", "--fixture", "L", "--b", "1")
     assert proc.returncode == 2

@@ -8,6 +8,7 @@ fast paths cannot drift.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from tropevol.core import (
     tadd,
 )
 from tropevol.ehrhart import log_coefficient
-from tropevol.errors import CrossCheckError, ValidationError
+from tropevol.errors import CrossCheckError, GuardExceeded, ValidationError
 from tropevol.fixtures import (
     alcove_simplex,
     cube,
@@ -40,6 +41,7 @@ from tropevol.fixtures import (
 )
 from tropevol.linalg import (
     AssignmentResult,
+    _column_subset_table,
     is_nonsingular,
     kleene_star,
     tdet,
@@ -780,3 +782,46 @@ def test_column_subsets_past_the_expansion_limit() -> None:
     assert (rep.qtvol_plus, rep.tvol, rep.tvol_witness) == (None, None, None)
     with pytest.raises(ValidationError, match="second-best value limited to n <= 8"):
         build_volume_report(cube(9))
+
+
+def test_report_charges_both_subset_sweeps_before_either_runs(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # C(n, d) * d! for the d-column expansions, then C(n, d + 1) * (d + 1)
+    # for the simplices of tlvol; a guard below either trips before any
+    # sweep runs
+    sweeps = _count_calls(monkeypatch, _column_subset_table)
+    rng = random.Random(2602)
+    tripped = {}
+    for d, n in ((1, 4), (2, 6), (2, 9), (3, 5), (3, 7), (4, 6), (5, 9)):
+        m = TropMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(d)])
+        charges = [
+            ("column subset sweep", math.comb(n, d) * math.factorial(d)),
+            ("simplex subset sweep", math.comb(n, d + 1) * (d + 1)),
+        ]
+        for guard in sorted({c + x for _, c in charges for x in (-1, 0)} - {0}):
+            stage = next(((what, c) for what, c in charges if c > guard), None)
+            sweeps.clear()
+            try:
+                build_volume_report(m, "subsets", guard)
+            except GuardExceeded as exc:
+                got = str(exc)
+            else:
+                got = None
+            if stage is None:
+                assert sweeps == [1], (d, n, guard)
+                assert got is None or "subset sweep" not in got, (d, n, guard)
+            else:
+                what, required = stage
+                assert got == f"{what} needs about {required} steps, guard is {guard}"
+                assert sweeps == [], (d, n, guard)  # nothing swept yet
+                tripped[what] = tripped.get(what, 0) + 1
+    assert min(tripped.values()) >= 5 and len(tripped) == 2, tripped
+    # tlvol by the triangulation alone reads no simplex off the table, so
+    # only the d-column expansions are charged: 3,540 here, and 102,660
+    # for the simplices
+    m = TropMatrix.from_rows([[rng.randint(0, 3) for _ in range(60)] for _ in range(2)])
+    with pytest.raises(GuardExceeded, match="^simplex subset sweep needs about 102660 steps"):
+        build_volume_report(m, "subsets", 10**4)
+    rep = build_volume_report(m, "triangulation", 10**4)
+    assert rep.qtvol_plus == build_volume_report(m).qtvol_plus
