@@ -196,8 +196,11 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
     least the least such c_j + M_kj, and a row with no such j ends the
     branch.  The guard is charged the whole box up front.
     """
-    guard = resolve_guard(guard)
-    box = bounding_box(m)
+    return _lattice_points(m, bounding_box(m), resolve_guard(guard))
+
+
+def _lattice_points(m: TropMatrix, box: tuple, guard: int) -> set:
+    """lattice_points on a checked matrix, its bounding_box and a resolved guard."""
     size = 1
     for lo, hi in box:
         size *= hi - lo + 1
@@ -577,14 +580,16 @@ def enumerate_triangulation(m: TropMatrix, guard: int | None = None) -> CellComp
     order and trips at guard + 2 of them, naming the guard + 1 steps that a
     cell-by-cell walk would have reached.  A walk cut short at its limit
     trips the guard at once, so the dict only ever hands out complete walks.
+    The bounding box is computed once, for the lattice sweep and the strides.
     """
     guard = resolve_guard(guard)
-    pts = lattice_points(m, guard)
+    box = bounding_box(m)
+    pts = _lattice_points(m, box, guard)
     d = m.rows
     strides = []
     offsets = [0]  # offsets[S]: the strides over S, so p + 1_S has code(p) + offsets[S]
     stride = 1
-    for lo, hi in bounding_box(m):
+    for lo, hi in box:
         strides.append(stride)
         offsets += [off + stride for off in offsets]
         stride *= hi - lo + 2

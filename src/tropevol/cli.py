@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cells import enumerate_triangulation
 from .core import TropMatrix, check_base
-from .ehrhart import _fibre_axis, _fibres, ehrhart_report
+from .ehrhart import _fibres, ehrhart_report
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .fixtures import (
     alcove_simplex,
@@ -235,13 +235,15 @@ def _cmd_plot(args) -> int:
         top2 = args.b ** max(m.entries[1])
         if top1 * top2 <= guard:
             logb = math.log(args.b)
-            a = _fibre_axis(m)
-            lo, hi = (ends.tolist() for ends in _fibres(m, args.b, 1))
+            scan = _fibres(m, args.b, 1)
+            lo, hi = scan.lo.tolist(), scan.hi.tolist()
+            (origin,) = scan.origin  # the grid runs over the hull's own box
             for n1 in range(1, top1 + 1):
                 for n2 in range(1, top2 + 1):
                     x = math.log(n1) / logb
                     y = math.log(n2) / logb
-                    inside = lo[n2] <= n1 <= hi[n2] if a == 0 else lo[n1] <= n2 <= hi[n1]
+                    z, s = (n2, n1) if scan.axis == 0 else (n1, n2)
+                    inside = z >= origin and lo[z - origin] <= s <= hi[z - origin]
                     px, py = place(x, y)
                     if inside:
                         parts.append(

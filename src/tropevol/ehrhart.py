@@ -6,12 +6,13 @@ Two counting regimes share one polytope:
   ordinary (classically convex by pieces) polytope with rational data; its
   integer dilates t * exp_b(P) are counted exactly over Z_{>=0}^d.  Every
   fibre of the hull parallel to an axis is an interval, whose two ends have
-  closed forms in the other coordinates, so the count sweeps the box one
-  fibre along its longest axis at a time: work and memory are the box size
-  over the longest side, not the box size.  The scan runs on a sparse numpy
-  grid of the other coordinates, in the narrowest of int16, int32, int64
-  and Python ints that holds every value, up to big**2 + 1 (see
-  count_maxtimes); the one code path serves every dtype.
+  closed forms in the other coordinates, so the count sweeps the hull's own
+  box (row i from min_j to max_j of t * b**M_ij) one fibre along its widest
+  range at a time: work and memory are that box's size over its widest
+  side, not the box size.  The scan runs on a sparse numpy grid of the
+  other coordinates, in the narrowest of int16, int32, int64 and Python
+  ints that holds every value, up to big**2 + 1 (see count_maxtimes); the
+  one code path serves every dtype.
 * tropical: the count of b-power lattice points of the tropical dilate k (.) P
   equals the max-times count at t = b**k.  The max-times hull scales
   linearly, so z lies in b**k * exp_b(P) iff b**(K-k) * z lies in
@@ -19,7 +20,8 @@ Two counting regimes share one polytope:
   the b**(K-k)-sublattice, read off its fibres.  So one scan, at the
   largest k whose box fits the guard, gives every smaller dilate's count,
   and the interpolation nodes of tropical_ehrhart_poly and the counts of
-  ehrhart_report all come from it.
+  ehrhart_report all come from it.  The interpolation runs in integers,
+  through one table per node tuple b**0..b**d (_node_table).
 
 Counting is where entries must lie in Z>=0, because b**e is a lattice count
 only for e >= 0; triangulation itself takes any finite integer matrix.  Every
@@ -52,12 +54,13 @@ into classes by shifted tuple (exponents minus their smallest, s).  The
 class kernel _class_coeffs returns the integers m! * c_i of an m-cell class,
 read off its counts at t = 0..m, all from one DP at t = m, through one
 integer table per m (m! times the inverse Vandermonde matrix of those
-nodes); the formula sum adds d! * c_i in integers and forms the d + 1
-Fractions once.
+nodes, the nodes-0..m case of _node_table); the formula sum adds d! * c_i
+in integers and forms the d + 1 Fractions once.
 closed_cell_count, open_cell_count and classical_ehrhart_scaled_simplex are
 entry points onto the same kernels for one cell.  Two tables outlive a call,
-both keyed by the mathematics alone: the interpolation table, keyed by m,
-and the class table of _class_coeffs, keyed by (shifted tuple, b) and
+both keyed by the mathematics alone: the interpolation tables, keyed by
+their nodes (the 256 most recent node tuples), and the class table of
+_class_coeffs, keyed by (shifted tuple, b) and
 capped at CLASS_TABLE_CAP entries.  Classes recur across matrices, so a
 later call, on the same input or another, reads back every class seen
 before.  Each entry keeps the class's largest guard charge beside its
@@ -73,9 +76,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
@@ -148,12 +151,13 @@ def _box_size(m: TropMatrix, b: int, t: int) -> int:
     return prod(max(0 if e is None else t * b ** e for e in row) + 1 for row in m.entries)
 
 
-def _fibre_axis(m: TropMatrix) -> int:
-    """The axis of _fibres: the longest box side, the first on ties.  Row i has
-    side t * b**(its largest entry), or 0 if all -inf, so it is the row with
-    the largest entry, whatever t and b are."""
-    tops = [max((e for e in row if e is not None), default=-1) for row in m.entries]
-    return tops.index(max(tops))
+def _fibre_axis(tb) -> int:
+    """The axis of _fibres: the row of tb (t * b**M_ij, 0 for -inf) whose
+    entries span the widest range, the first on ties.  The hull's box runs
+    from the least to the largest entry of each row, and every range scales
+    with t, so the axis depends on the matrix and b alone."""
+    widths = [max(row) - min(row) for row in tb]
+    return widths.index(max(widths))
 
 
 def _grid_dtype(big: int):
@@ -174,73 +178,107 @@ def _grid_dtype(big: int):
     return object
 
 
-def _fibres(m: TropMatrix, b: int, t: int) -> tuple:
-    """(lo, hi): the fibre of t * exp_b(P) above each point of the grid.
+class Fibres(NamedTuple):
+    """A box scan: the fibre lo <= z_axis <= hi above each point of its grid.
 
-    The grid holds the coordinates other than the axis a = _fibre_axis(m),
-    one array axis each; the fibre above a grid point is the interval
-    lo <= z_a <= hi, empty when hi < lo (see count_maxtimes for the bounds).
-    The grid is sparse (np.indices(sparse=True)) and the columns sit on one
-    first array axis, so every product z_k * w_kj and every quotient by w_aj
-    is taken on a 1-D axis, using floor(min_k x_k / w) = min_k floor(x_k / w),
+    The grid holds the coordinates other than axis, in row order, one array
+    axis each; array index x on the r-th of them is the coordinate
+    origin[r] + x.
+    """
+
+    lo: object
+    hi: object
+    axis: int
+    origin: tuple
+
+
+def _fibres(m: TropMatrix, b: int, t: int) -> Fibres:
+    """The fibre of t * exp_b(P) above each point of the hull's own box.
+
+    Every point z of t * exp_b(P) is max_j mu_j * tb_j with mu_j in [0, 1],
+    one of them 1, so min_j tb_ij <= z_i <= max_j tb_ij: the grid's axis for
+    row i runs over that range, and the fibres run along the row
+    a = _fibre_axis(tb), whose range is the widest.  The fibre above a grid
+    point is the interval lo <= z_a <= hi, empty when hi < lo (see count_maxtimes
+    for the bounds).  The grid is sparse and the columns sit on one first
+    array axis, so every product z_k * w_kj and every quotient by w_aj is
+    taken on a 1-D axis, using floor(min_k x_k / w) = min_k floor(x_k / w),
     and only the minima over k, the comparisons and the reductions over the
     columns run on the full grid, one numpy call each for all columns.  No
     full-grid select runs: a row's lower bound is a masked minimum, the
     least of max(need_j, inf * (c_j != tight_j)) over the columns, which
     equals the least need_j over the tight columns as every need is below
-    inf.  The grid's dtype is _grid_dtype(big), the same code path for each.
+    inf.  The per-column constants are built as one array, and the selects
+    that mask a -inf entry run only for the rows that hold one.  The grid's
+    dtype is _grid_dtype(big), the same code path for each.
     """
     n = m.cols
     tb = [[0 if e is None else t * b ** e for e in row] for row in m.entries]
-    side = [max(row) for row in tb]
     big = t * b ** (m.max_entry() or 0)
     inf = big * big + 1  # above every z_i * w_ij, as z_i <= big and w_ij <= big
     dtype = _grid_dtype(big)
-    a = _fibre_axis(m)
+    a = _fibre_axis(tb)
     others = [i for i in range(m.rows) if i != a]
-
-    def col(values):  # one value per column, on the column axis
-        return _np.array(values, dtype).reshape((n,) + (1,) * len(others))
-
-    grid = _np.indices([side[i] + 1 for i in others], dtype=dtype, sparse=True)
-    grid = [z[None] for z in grid]
-    tb_a = col(tb[a])
-    w_a = col([big // e if e else 1 for e in tb[a]])
-    # z_i * w_ij on axis i, inf for a -inf entry
-    zw = [
-        _np.where(col(tb[i]) > 0, z * col([big // e if e else 0 for e in tb[i]]), inf)
-        for i, z in zip(others, grid)
-    ]
+    origin = tuple(min(tb[i]) for i in others)
+    # one row per constant: tb_aj, w_aj, -w_aj, then w_ij and tb_ij (-1 for
+    # -inf) per row i
+    rows = [tb[a], [big // e if e else 1 for e in tb[a]]]
+    rows.append([-w for w in rows[1]])
+    for i in others:
+        rows += [[big // e if e else 0 for e in tb[i]], [e if e else -1 for e in tb[i]]]
+    tb_a, w_a, neg_w_a, *per_row = _np.array(rows, dtype).reshape(
+        (len(rows), n) + (1,) * len(others)
+    )
+    w_other, tb_other = per_row[0::2], per_row[1::2]
+    a_inf = 0 in tb[a]
+    grid, zw = [], []
+    for r, i in enumerate(others):
+        shape = [1] * (len(others) + 1)
+        shape[r + 1] = -1
+        z = _np.arange(origin[r], max(tb[i]) + 1, dtype=dtype).reshape(shape)
+        x = z * w_other[r]
+        if 0 in tb[i]:
+            x = _np.where(tb_other[r] > 0, x, inf)  # inf for a -inf entry
+        grid.append(z)
+        zw.append(x)  # z_i * w_ij on axis i
     # c_j = min over k != a of z_k * w_kj
-    c = functools.reduce(_np.minimum, zw, inf)
+    c = functools.reduce(_np.minimum, zw) if zw else None
     # hi = max over j of min(c_j // w_aj, tb_aj); a -inf entry of row a gives 0
     hi = functools.reduce(_np.minimum, [x // w_a for x in zw], tb_a).max(axis=0)
     # lo starts at the least tb_aj over the columns j with c_j >= big
     reach = [_np.where(x >= big, tb_a, inf) for x in zw]
-    bounds = [functools.reduce(_np.maximum, reach, tb_a).min(axis=0)]
-    for i, z, x in zip(others, grid, zw):
-        if not side[i]:
+    bounds = [(functools.reduce(_np.maximum, reach) if reach else tb_a).min(axis=0)]
+    for r, (i, z, x) in enumerate(zip(others, grid, zw)):
+        if not max(tb[i]):
             continue  # a -inf row only has z_i = 0, which bounds nothing
         # row i needs z_a >= the least ceil(z_i * w_ij / w_aj) over the
         # columns j with z_i <= tb_ij and c_j == z_i * w_ij.  At z_i = 0 that
         # is 0 (c_j = 0 wherever tb_ij > 0), so no z_i > 0 mask is needed.
-        need = _np.where(tb_a > 0, -(-x // w_a), 0)
-        tight = _np.where(z <= col([e if e else -1 for e in tb[i]]), x, -1)
+        need = -(x // neg_w_a)  # ceil(x / w_aj)
+        if a_inf:
+            need = _np.where(tb_a > 0, need, 0)
+        tight = _np.where(z <= tb_other[r], x, -1)
         masked = _np.multiply(c != tight, inf, dtype=dtype)
         bounds.append(_np.maximum(masked, need, out=masked).min(axis=0))
     lo = functools.reduce(_np.maximum, bounds)
-    return _np.asarray(lo, dtype), _np.asarray(hi, dtype)
+    return Fibres(_np.asarray(lo, dtype), _np.asarray(hi, dtype), a, origin)
 
 
-def _sublattice_count(lo, hi, s: int) -> int:
-    """Points of a box scan (the fibres lo, hi of _fibres) on the s-sublattice.
+def _sublattice_count(scan: Fibres, s: int) -> int:
+    """Points of a box scan (the fibres of _fibres) on the s-sublattice.
 
     They lie in the fibres above the grid points whose coordinates are all
-    multiples of s (a strided view), and each such fibre holds
-    max(0, floor(hi / s) - ceil(lo / s) + 1) multiples of s.
+    multiples of s: on the axis with origin o, from array index (-o) mod s
+    on in steps of s (a strided view).  Each such fibre holds
+    max(0, floor(hi / s) - ceil(lo / s) + 1) multiples of s, which is
+    max(0, hi - lo + 1) at s = 1.
     """
-    view = (slice(None, None, s),) * hi.ndim
-    fibre = _np.maximum(hi[view] // s + (-lo[view]) // s + 1, 0)
+    lo, hi = scan.lo, scan.hi
+    if s == 1:
+        fibre = _np.maximum(hi - lo + 1, 0)
+    else:
+        view = tuple(slice(-o % s, None, s) for o in scan.origin)
+        fibre = _np.maximum(hi[view] // s + (-lo[view]) // s + 1, 0)
     return int(fibre.sum(dtype=None if fibre.dtype == object else _np.int64))
 
 
@@ -252,8 +290,11 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     of z are lam_j = min_i z_i * w_ij (membership read off them point by
     point is the oracle of this scan in the tests: _box_scan).  Fibres
     of a tropical polytope parallel to an axis are intervals (Develin and
-    Sturmfels, *Tropical convexity*, 2004).  On the fibre z_a = s along the
-    longest box axis a, lam_j = min(c_j, s * w_aj) with c_j = min over
+    Sturmfels, *Tropical convexity*, 2004).  Every point is max_j mu_j * tb_j
+    with weights mu_j in [0, 1], one of them 1, so the scan covers the
+    hull's own box, row i from min_j tb_ij to max_j tb_ij.  On the fibre
+    z_a = s along the axis a of its widest range (_fibre_axis),
+    lam_j = min(c_j, s * w_aj) with c_j = min over
     k != a of z_k * w_kj, so row a recomposes iff s <= hi = max over
     tb_aj > 0 of min(tb_aj, c_j // w_aj), while each row i != a with
     z_i > 0 needs s >= the least ceil(z_i * w_ij / w_aj) over j with
@@ -261,9 +302,11 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
     least tb_aj over j with c_j >= big (0 for an all -inf column).  The
     fibre holds max(0, hi - lo + 1) points, lo the largest lower bound.
 
-    The other coordinates form a sparse numpy grid of box size / longest
-    side points, which bounds the memory (see _fibres).  Every value is at
-    most big * big + 1, so the grid holds int16 when that is below 2**15,
+    The other coordinates form a sparse numpy grid of the hull's box size
+    over its widest side points, never more than the guard's charge
+    (_box_size, the box from 0), which bounds the memory (see _fibres).
+    Every value is at most big * big + 1, so the grid holds int16 when that
+    is below 2**15,
     int32 when it is below 2**31, int64 when big * big < 2**62 and Python
     ints otherwise (_grid_dtype); the fibre lengths are summed in int64 or
     in Python ints.  Each row's least bound over the tight columns is a
@@ -279,7 +322,7 @@ def count_maxtimes(m: TropMatrix, b: int, t: int, guard: int | None = None) -> i
         raise ValidationError(f"dilation factor must be a positive integer, got {t!r}")
     _check_counting_matrix(m, allow_minus_inf=True)
     check_guard(_box_size(m, b, t), resolve_guard(guard), "max-times box scan")
-    return _sublattice_count(*_fibres(m, b, t), 1)
+    return _sublattice_count(_fibres(m, b, t), 1)
 
 
 def count_tropical(m: TropMatrix, b: int, k: int, guard: int | None = None) -> int:
@@ -302,8 +345,8 @@ def _dilate_counts(m: TropMatrix, b: int, top: int, guard: int) -> list:
         K += 1
     if K < 0:
         return []
-    lo, hi = _fibres(m, b, b ** K)
-    return [_sublattice_count(lo, hi, b ** (K - k)) for k in range(K + 1)]
+    scan = _fibres(m, b, b ** K)
+    return [_sublattice_count(scan, b ** (K - k)) for k in range(K + 1)]
 
 
 def _scan_counter(top: int) -> Callable[[TropMatrix, int, int, int], int]:
@@ -438,22 +481,41 @@ def count_via_cells(arg, b: int, k: int, guard: int | None = None) -> int:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _node_table(nodes: tuple) -> tuple:
+    """(den, table): den times the inverse Vandermonde matrix of distinct integer nodes.
+
+    Coefficient i of the polynomial of degree < len(nodes) through
+    (x_k, y_k) is (table[i] . y) / den.  Column k of the inverse holds the
+    coefficients of the k-th Lagrange basis polynomial,
+    prod_(j != k) (x - x_j) / D_k with D_k = prod_(j != k) (x_k - x_j); its
+    numerator has integer coefficients, so with den the least common
+    multiple of the |D_k| every entry of the table is an integer.  For the
+    nodes 0..m, |D_k| = k!(m-k)!, so den = m!.  The table depends on the
+    nodes alone and is kept for the 256 most recent node tuples.
+    """
+    cols, dens = [], []
+    for k, xk in enumerate(nodes):
+        poly, den_k = [1], 1  # poly: coefficients of the numerator, lowest first
+        for j, xj in enumerate(nodes):
+            if j != k:
+                poly = [up - xj * c for up, c in zip([0] + poly, poly + [0])]
+                den_k *= xk - xj
+        cols.append(poly)
+        dens.append(den_k)
+    den = lcm(*map(abs, dens))
+    table = tuple(
+        tuple(col[i] * (den // den_k) for col, den_k in zip(cols, dens))
+        for i in range(len(nodes))
+    )
+    return den, table
+
+
 @functools.lru_cache(maxsize=None)
 def _interpolation_table(m: int) -> tuple:
-    """m! times the inverse Vandermonde matrix of the nodes t = 0..m, in ints.
-
-    Coefficient i of the polynomial of degree <= m through (t, y_t) is
-    (row_i . y) / m!.  Column k of the inverse holds the coefficients of the
-    k-th Lagrange basis polynomial, whose denominator is +-k!(m-k)!, a divisor
-    of m!, so every entry of the table is an integer.  The columns come from
-    lagrange_interpolate on unit vectors.
-    """
-    scale = factorial(m)
-    cols = [
-        lagrange_interpolate([(t, int(t == k)) for t in range(m + 1)])
-        for k in range(m + 1)
-    ]
-    return tuple(tuple(int(col[i] * scale) for col in cols) for i in range(m + 1))
+    """m! times the inverse Vandermonde matrix of the nodes t = 0..m, in ints:
+    the table of _node_table for those nodes, whose den is m!."""
+    return _node_table(tuple(range(m + 1)))[1]
 
 
 # Most class polynomials kept across calls.  An entry is a short tuple of
@@ -623,25 +685,38 @@ def tropical_ehrhart_poly(
     check_base(b)
     _check_counting_matrix(m, allow_minus_inf=False)
     guard = resolve_guard(guard)
+    return _interpolate(m, b, guard, counter or _scan_counter(m.rows + 1))
+
+
+def _interpolate(m: TropMatrix, b: int, guard: int, count) -> TropicalEhrhartPolynomial:
+    """tropical_ehrhart_poly on checked arguments, in integers until the end.
+
+    The counts at k = 0..d go through the integer table of the nodes
+    b**0..b**d (_node_table), giving den * c_i; the prediction at k = d + 1
+    is compared as den times the count, and the d + 1 Fractions are formed
+    last.
+    """
     d = m.rows
-    count = counter or _scan_counter(d + 1)
-    pts = []
-    for k in range(d + 1):
-        pts.append((Fraction(b) ** k, count(m, b, k, guard)))
-    coeffs = lagrange_interpolate(pts)
+    den, table = _node_table(tuple(b ** k for k in range(d + 1)))
+    counts = [count(m, b, k, guard) for k in range(d + 1)]
+    scaled = [sum(map(mul, row, counts)) for row in table]  # den * c_i
     verified = None
     try:
         extra = count(m, b, d + 1, guard)
     except GuardExceeded:
         extra = None
     if extra is not None:
-        if poly_eval(coeffs, Fraction(b) ** (d + 1)) != extra:
+        x = b ** (d + 1)
+        predicted = 0
+        for c in reversed(scaled):
+            predicted = predicted * x + c
+        if predicted != extra * den:
             raise CrossCheckError(
                 f"interpolated polynomial fails at k={d + 1}: "
-                f"predicted {poly_eval(coeffs, Fraction(b) ** (d + 1))}, counted {extra}"
+                f"predicted {Fraction(predicted, den)}, counted {extra}"
             )
         verified = d + 1
-    return TropicalEhrhartPolynomial(b, coeffs, verified)
+    return TropicalEhrhartPolynomial(b, tuple(Fraction(c, den) for c in scaled), verified)
 
 
 def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
@@ -761,6 +836,8 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
     comes off one box scan at the largest k <= max(kmax, d + 1) whose box
     fits the guard; a larger k raises that k's GuardExceeded.  A negative
     kmax is rejected first, any other non-int after the b and matrix checks.
+    The arguments are checked once, here; the interpolation and the formula
+    sum run on their private cores.
     """
     if _negative(kmax):
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
@@ -769,8 +846,9 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
     _check_counting_matrix(m, allow_minus_inf=False)
     _check_exponent(kmax, "kmax")
     count = _scan_counter(max(kmax, m.rows + 1))
-    poly = tropical_ehrhart_poly(m, b, guard, counter=count)
-    formula = coeffs_via_formula(m, b, guard)
+    poly = _interpolate(m, b, guard, count)
+    complex_ = as_complex(m, guard)
+    formula = _formula_sum(complex_.exponent_tally, complex_.ambient_dim, b, guard)
     counts = [{"k": k, "value": count(m, b, k, guard)} for k in range(kmax + 1)]
     return {
         "b": b,

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
 from .core import Entry, TropMatrix, tadd, tsum
 from .errors import ValidationError
+from .guard import check_guard, resolve_guard
 
 BRUTE_LIMIT = 8  # permutation enumerations refuse anything larger
 
@@ -350,7 +352,13 @@ def _volumes_from_table(table: dict) -> tuple:
     return top, top_js, gap, gap_js
 
 
-def column_subset_volumes(m: TropMatrix) -> tuple:
+def _charge_column_sweep(m: TropMatrix, guard: int) -> None:
+    """Charge the d-subset sweep to the guard: C(n, d) expansions of d! terms."""
+    d, n = m.shape
+    check_guard(comb(n, d) * factorial(d), guard, "column subset sweep")
+
+
+def column_subset_volumes(m: TropMatrix, guard: int | None = None) -> tuple:
     """(qtvol+, its columns, tvol, its columns) from one sweep of the d-subsets.
 
     qtvol+ is the largest tropical d-minor, tvol the largest tvol_square over
@@ -359,17 +367,19 @@ def column_subset_volumes(m: TropMatrix) -> tuple:
     attain the maximum.  A subset with the UNIQUE_GAP marker dominates every
     numeric gap, and the first such subset is the tvol witness; a subset with
     -inf determinant contributes to neither.  Both values are -inf, with no
-    witness, when every subset has -inf determinant.
+    witness, when every subset has -inf determinant.  The sweep is charged
+    to the guard before any expansion (_charge_column_sweep).
     """
+    _charge_column_sweep(m, resolve_guard(guard))
     return _volumes_from_table(_column_subset_table(m))
 
 
-def tvol_max_sub(m: TropMatrix):
+def tvol_max_sub(m: TropMatrix, guard: int | None = None):
     """Max of tvol_square over all d x d column submatrices of a d x m matrix.
 
     The tvol half of column_subset_volumes: (value, first witness subset).
     """
-    return column_subset_volumes(m)[2:]
+    return column_subset_volumes(m, guard)[2:]
 
 
 def kleene_star(a: TropMatrix) -> TropMatrix:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Optional
 
 from .cells import CellComplex, ambient_dim, as_complex
@@ -55,6 +55,7 @@ from .errors import CrossCheckError, ValidationError
 from .guard import check_guard, resolve_guard
 from .linalg import (
     UNIQUE_GAP,
+    _charge_column_sweep,
     _column_subset_table,
     _nonsingular_given,
     _volumes_from_table,
@@ -212,8 +213,21 @@ def _tlvol_by_method(method: str, subsets, complex_):
     return subsets
 
 
+def _charge_simplex_sweep(m: TropMatrix, guard: int) -> None:
+    """Charge tlvol's subset sweep to the guard: C(n, d + 1) simplices of d + 1 steps."""
+    d, n = m.shape
+    check_guard(comb(n, d + 1) * (d + 1), guard, "simplex subset sweep")
+
+
 def tlvol(m: TropMatrix, method: str = "subsets", guard: int | None = None) -> Entry:
-    """Tropical barycentric volume; method picks the algorithm or cross-checks."""
+    """Tropical barycentric volume; method picks the algorithm or cross-checks.
+
+    The subsets route is charged to the guard before any work, as in
+    build_volume_report.
+    """
+    if method in ("subsets", "both"):
+        guard = resolve_guard(guard)
+        _charge_simplex_sweep(m, guard)
     complex_ = _complex_for(m, method, guard)
     subsets = None if method == "triangulation" else tlvol_subsets(m)
     return _tlvol_by_method(method, subsets, complex_)[0]
@@ -385,9 +399,9 @@ def build_volume_report(
     guard = resolve_guard(guard)
     complex_ = _complex_for(m, method, guard)
     d, n = m.shape
-    check_guard(comb(n, d) * factorial(d), guard, "column subset sweep")
+    _charge_column_sweep(m, guard)
     if method != "triangulation":
-        check_guard(comb(n, d + 1) * (d + 1), guard, "simplex subset sweep")
+        _charge_simplex_sweep(m, guard)
     table = None
     if n >= d:
         table = _column_subset_table(m)

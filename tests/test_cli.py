@@ -532,7 +532,8 @@ def test_ehrhart_disagreement_writes_report_and_exits_four(
 ) -> None:
     import tropevol.ehrhart as ehrhart
 
-    monkeypatch.setattr(ehrhart, "coeffs_via_formula", lambda m, b, guard=None: (0, 0, 0))
+    # the report sums the formula through its private core, on arguments it checked
+    monkeypatch.setattr(ehrhart, "_formula_sum", lambda tally, d, b, guard: (0, 0, 0))
     target = tmp_path / "report.json"
     code = cli.main(["ehrhart", "--fixture", "L", "--l", "4", "--out", str(target)])
     assert code == 4

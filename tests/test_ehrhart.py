@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from tropevol.ehrhart import (
     reciprocity_check,
     tropical_ehrhart_poly,
 )
-from tropevol.errors import GuardExceeded, ValidationError
+from tropevol.errors import CrossCheckError, GuardExceeded, ValidationError
 from tropevol.fixtures import (
     alcove_simplex,
     cube,
@@ -1093,6 +1094,129 @@ def test_dilate_counts_on_python_ints_through_a_raised_guard():
     assert ehrhart._fibres(m, 2, 2)[0].dtype == object
     assert ehrhart._dilate_counts(m, 2, 2, 2 ** 44) == [2 ** 40, 2 * (2 ** 40 - 1) + 1]
     assert ehrhart._dilate_counts(m, 2, 2, 2 ** 40) == []
+
+
+def _seeded_hull_rows(rng):
+    """1-3 rows, each with its own offset, so the hull's box starts off 0 on
+    some axes and any row may span the widest range; -inf entries and all
+    -inf columns included.  Redrawn until the t = 1 box at b = 3 is small."""
+    while True:
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        rows = []
+        for _ in range(d):
+            low = rng.randint(0, 2)
+            rows.append([None if rng.random() < 0.2 else low + rng.randint(0, 2) for _ in range(n)])
+        if rng.random() < 0.15:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = None
+        if math.prod(3 ** max((e for e in row if e is not None), default=0) + 1
+                     for row in rows) <= 3_000:
+            return rows
+
+
+def test_hull_box_scan_matches_box_scan_oracle(monkeypatch):
+    # the grid runs over each row's own range and the fibres along the
+    # widest; every count, and every dilate read off the sublattice views,
+    # equals the residuation oracle on every rung of the dtype ladder
+    rng = random.Random(2719)
+    seen = collections.Counter()
+    shapes = collections.Counter()
+    for _ in range(250):
+        rows = _seeded_hull_rows(rng)
+        b, t = rng.choice((2, 3)), rng.randint(1, 2)
+        m = TropMatrix(tuple(map(tuple, rows)), allow_minus_inf_columns=True)
+        scan = ehrhart._fibres(m, b, t)
+        shapes["axis not 0"] += scan.axis != 0
+        shapes["origin above 0"] += any(scan.origin)
+        want = _box_scan(rows, b, t)
+        wants = [_box_scan(rows, b, b ** k) for k in range(3)
+                 if ehrhart._box_size(m, b, b ** k) <= 3_000]
+        for got in _on_each_rung(monkeypatch, rows, lambda: count_maxtimes(m, b, t), seen):
+            assert got == want, (rows, b, t)
+        for got in _on_each_rung(
+            monkeypatch, rows, lambda: ehrhart._dilate_counts(m, b, 2, 3_000), seen
+        ):
+            assert got == wants, (rows, b)
+    _assert_every_rung_seen(seen, 40)
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_scan_runs_on_the_hulls_own_box_along_its_widest_range():
+    # row 0 holds the largest entry but spans no range: the fibres run along
+    # row 1, and the grid is row 0's one value, 2**3
+    m = TropMatrix.from_rows([[3, 3], [0, 2]])
+    scan = ehrhart._fibres(m, 2, 1)
+    assert (scan.axis, scan.origin, scan.lo.shape, scan.hi.shape) == (1, (8,), (1,), (1,))
+    assert count_maxtimes(m, 2, 1) == _box_scan([[3, 3], [0, 2]], 2, 1) == 4
+    # a tie goes to the first row; each grid axis runs from its row's least
+    # to its largest t * b**e: 6..24 and 12..24 at b = 2, t = 3
+    rows = [[1, 2, 3], [3, 2, 1], [2, 2, 3]]
+    scan = ehrhart._fibres(TropMatrix.from_rows(rows), 2, 3)
+    assert (scan.axis, scan.origin, scan.hi.shape) == (0, (6, 12), (19, 13))
+    assert count_maxtimes(TropMatrix.from_rows(rows), 2, 3) == _box_scan(rows, 2, 3)
+    # a -inf entry counts as 0: row 0 spans 0..8 and row 1 only 2..8
+    rows = [[None, 3], [1, 3]]
+    scan = ehrhart._fibres(TropMatrix(tuple(map(tuple, rows))), 2, 1)
+    assert (scan.axis, scan.origin, scan.lo.shape) == (0, (2,), (7,))
+    # the axis and the origin scale with t, and a row with one value is a
+    # one-point grid axis
+    m = TropMatrix.from_rows([[0, 1, 2], [2, 2, 2]])
+    for t in (1, 2, 5):
+        scan = ehrhart._fibres(m, 3, t)
+        assert (scan.axis, scan.origin, scan.lo.shape) == (0, (9 * t,), (1,))
+
+
+def test_power_node_table_matches_lagrange():
+    rng = random.Random(2727)
+    for b in range(2, 8):
+        for d in range(6):
+            nodes = tuple(b ** k for k in range(d + 1))
+            den, table = ehrhart._node_table(nodes)
+            assert len(table) == d + 1 and all(len(row) == d + 1 for row in table)
+            assert all(type(w) is int for row in table for w in row), (b, d)
+            cases = [[int(j == k) for j in range(d + 1)] for k in range(d + 1)]
+            cases += [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d + 1)] for _ in range(5)]
+            for ys in cases:
+                got = tuple(Fraction(sum(map(operator.mul, row, ys)), den) for row in table)
+                assert got == lagrange_interpolate(list(zip(nodes, ys))), (b, d, ys)
+    # the nodes 0..m are the class kernel's table, with den = m!
+    for m in range(9):
+        den, table = ehrhart._node_table(tuple(range(m + 1)))
+        assert (den, table) == (math.factorial(m), ehrhart._interpolation_table(m))
+
+
+def test_interpolation_matches_lagrange_on_the_counts():
+    rng = random.Random(2728)
+    inputs = [fix_l(4), fix_tri(3, 1), alcove_simplex((0, 2, 1)), alcove_simplex((0, 1))]
+    inputs += [TropMatrix.from_rows([[rng.randint(0, 2) for _ in range(3)] for _ in range(2)])
+               for _ in range(20)]
+    for m in inputs:
+        for b in (2, 3, 5):
+            if ehrhart._box_size(m, b, b ** m.rows) > 10 ** 6:
+                continue
+            poly = tropical_ehrhart_poly(m, b)
+            nodes = [(b ** k, count_tropical(m, b, k)) for k in range(m.rows + 1)]
+            assert poly.coeffs == lagrange_interpolate(nodes), (m.entries, b)
+            assert all(type(c) is Fraction for c in poly.coeffs)
+
+
+def test_tampered_check_count_raises_the_same_text():
+    # the k = d + 1 check runs in integers; its message is the one the
+    # Fraction route gave, with the prediction of the tampered nodes
+    for m, b in ((fix_l(4), 2), (alcove_simplex((0, 2, 1)), 2), (fix_tri(3, 1), 3)):
+        d = m.rows
+        true = [count_tropical(m, b, k) for k in range(d + 2)]
+        for tamper in ({d + 1: 1}, {d + 1: -1}, {0: 3}, {1: -2, d + 1: 5}):
+            counts = [c + tamper.get(k, 0) for k, c in enumerate(true)]
+            pts = [(Fraction(b) ** k, counts[k]) for k in range(d + 1)]
+            predicted = poly_eval(lagrange_interpolate(pts), Fraction(b) ** (d + 1))
+            with pytest.raises(CrossCheckError) as info:
+                tropical_ehrhart_poly(m, b, counter=lambda m, b, k, guard: counts[k])
+            assert str(info.value) == (
+                f"interpolated polynomial fails at k={d + 1}: "
+                f"predicted {predicted}, counted {counts[d + 1]}"
+            )
 
 
 @st.composite

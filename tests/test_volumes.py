@@ -42,6 +42,7 @@ from tropevol.fixtures import (
 from tropevol.linalg import (
     AssignmentResult,
     _column_subset_table,
+    column_subset_volumes,
     is_nonsingular,
     kleene_star,
     tdet,
@@ -825,3 +826,45 @@ def test_report_charges_both_subset_sweeps_before_either_runs(
         build_volume_report(m, "subsets", 10**4)
     rep = build_volume_report(m, "triangulation", 10**4)
     assert rep.qtvol_plus == build_volume_report(m).qtvol_plus
+
+
+def test_standalone_subset_sweeps_charge_the_guard_before_any_work(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # a 5 x 18 matrix: unguarded, tlvol took seconds and column_subset_volumes
+    # most of one, where the report stops at once with the same charges
+    rng = random.Random(0)
+    m = TropMatrix.from_rows([[rng.randint(0, 3) for _ in range(18)] for _ in range(5)])
+    sweeps = _count_calls(monkeypatch, _column_subset_table)
+    subsets = _count_calls(monkeypatch, tlvol_subsets)
+    triangulations = _count_calls(monkeypatch, cells.enumerate_triangulation)
+    column = "column subset sweep needs about 1028160 steps, guard is 1000"
+    simplex = "simplex subset sweep needs about 111384 steps, guard is 1000"
+    for call, want in (
+        (lambda g: column_subset_volumes(m, guard=g), column),
+        (lambda g: tvol_max_sub(m, guard=g), column),
+        (lambda g: tlvol(m, guard=g), simplex),
+        (lambda g: tlvol(m, "both", g), simplex),
+        (lambda g: build_volume_report(m, guard=g), column),
+    ):
+        with pytest.raises(GuardExceeded) as info:
+            call(1000)
+        assert str(info.value) == want
+        monkeypatch.setenv("TROPEVOL_GUARD", "1000")
+        with pytest.raises(GuardExceeded) as info:
+            call(None)
+        assert str(info.value) == want
+        monkeypatch.delenv("TROPEVOL_GUARD")
+    assert (sweeps, subsets, triangulations) == ([], [], [])
+    # at a guard that holds both charges, the standalone values are the report's
+    small = m.submatrix_columns(range(7))
+    rep = build_volume_report(small)
+    assert column_subset_volumes(small, 21 * 120) == (
+        rep.qtvol_plus, rep.qtvol_plus_witness, rep.tvol, rep.tvol_witness
+    )
+    assert tvol_max_sub(small, 21 * 120) == (rep.tvol, rep.tvol_witness)
+    assert tlvol(small, guard=7 * 6) == rep.tlvol
+    with pytest.raises(GuardExceeded, match="^column subset sweep needs about 2520 steps"):
+        column_subset_volumes(small, 21 * 120 - 1)
+    with pytest.raises(GuardExceeded, match="^simplex subset sweep needs about 42 steps"):
+        tlvol(small, guard=41)
