@@ -25,8 +25,11 @@ kept across calls, in a table capped at PATTERN_TABLE_CAP patterns, and a
 pattern seen on any earlier matrix is not walked again.  The tables the
 counting and volume layers need (exponent tuples, the largest cell at each
 vertex, facet cover counts, the Euler characteristic, the bases of the top
-cells) are read off the shapes, a table of minima per point giving each
-block's exponent.  AlcovedSimplex objects are built only when a caller
+cells) are read off the shapes.  A block's exponent is the smallest
+coordinate of the point on it, so each pattern keeps, per dimension, one
+operator.itemgetter over the block masks of all its chains, which reads
+every block minimum of a point out of that point's table of minima in one C
+call.  AlcovedSimplex objects are built only when a caller
 asks for CellComplex.cells, because only the cell-by-cell consumers need
 them (the interior and purity tests, the plot, the self-checks and the
 oracles) and building them costs about as much as the walk itself.
@@ -52,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, or_
+from operator import add, itemgetter, mul, or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
@@ -256,12 +259,32 @@ def _minima(p: tuple) -> list:
     """low[S]: the smallest coordinate of p over the set S, for every nonempty mask S.
 
     Coordinate i fills the masks whose highest bit is i: low[S + 2**i] is
-    min(low[S], p_i) for S < 2**i, with low[0] = +inf.
+    min(low[S], p_i) for S < 2**i, with low[0] = +inf.  The masks of the
+    first two coordinates are written out, which spares every point of two
+    or more coordinates two list comprehensions.
     """
-    low = [float("inf")]
-    for x in p:
+    if len(p) < 2:
+        return [float("inf"), *p]
+    a, b, *rest = p
+    low = [float("inf"), a, b, a if a < b else b]
+    for x in rest:
         low += [y if y < x else x for y in low]
     return low
+
+
+def _flat_getter(indices: list) -> itemgetter:
+    """A getter that reads the items at indices, in order, as one flat sequence.
+
+    itemgetter(i) of a single index returns the item itself, so one index,
+    or none, reads a slice instead.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+_NO_CHAINS = _flat_getter([])  # the getter of a dimension without chains
+_apply = itemgetter.__call__  # _apply(get, x) is get(x)
 
 
 class ChainShapes:
@@ -272,7 +295,10 @@ class ChainShapes:
     largest dimension present.  Points with the same cube pattern share one
     instance, in every complex of the process (see _pattern_shapes), so the
     tables cached here are built once per pattern.  Nothing here depends on
-    the point, and nothing cached here is mutable.
+    the point, and nothing cached here is mutable.  Exponents do depend on
+    the point, so the shapes keep, for each dimension k >= 1, one getter
+    (minima_getters) that reads the exponents of every k-chain at once out
+    of a point's table of minima.
     """
 
     def __init__(self, by_dim: list):
@@ -290,6 +316,17 @@ class ChainShapes:
         return tuple(
             tuple(tuple(itertools.accumulate(blocks, or_)) for blocks in chains)
             for chains in self.by_dim
+        )
+
+    @cached_property
+    def minima_getters(self) -> tuple:
+        """For k = 1, 2, ..., a getter mapping _minima(p) to the block minima of the k-chains.
+
+        The minima come flat, chain after chain in by_dim order, so
+        zip(*[iter(flat)] * k) cuts them into the chains' exponent tuples.
+        """
+        return tuple(
+            _flat_getter([S for blocks in chains for S in blocks]) for chains in self.by_dim[1:]
         )
 
     @cached_property
@@ -327,7 +364,10 @@ class ChainShapes:
 # Most cube patterns kept across calls.  An entry with its cached tables
 # took about 4.5 KB on average on a 4x6 input, and no pattern of d = 4 has
 # more than the full cube's 150 chains (about 30 KB), so the table stays
-# within a few megabytes for inputs of up to four rows.
+# within a few megabytes for inputs of up to four rows.  The exponent
+# getters add 8 bytes per block mask and 100-140 bytes per dimension to an
+# entry: the full d = 6 cube's 9,366 chains hold 37,927 block masks, and
+# its entry grew from 736 to 1,033 KiB (tracemalloc).
 PATTERN_TABLE_CAP = 1024
 _patterns = BoundedTable(PATTERN_TABLE_CAP)  # (pattern, d) -> ChainShapes
 
@@ -455,18 +495,27 @@ class CellComplex:
         """Exponent tuple -> number of cells with it.
 
         A cell's exponents are the smallest base coordinate on each block,
-        read off a table of minima per base point.  The tuples come in
-        their order of first appearance over cells, as a tally of
+        and every 0-cell has the empty tuple.  For each k >= 1 in turn, each
+        base point's k-getter (ChainShapes.minima_getters) reads the
+        exponents of its k-chains off the point's table of minima, and the
+        flat results of all points, chained, are cut into k-tuples; past
+        the table of minima, no Python code runs per point.  The tuples
+        come in their order of first appearance over cells, as a tally of
         ehrhart.cell_exponents over the cells would list them.
         """
-        by_dim = [[] for _ in range(self.dim + 1)]
-        for p, sh in self.shapes.items():
-            low = _minima(p).__getitem__
-            for keys, chains in zip(by_dim, sh.by_dim):
-                keys += [tuple(map(low, blocks)) for blocks in chains]
+        shapes = self.shapes
+        lows = list(map(_minima, shapes))
         out = Counter()
-        for keys in by_dim:
-            out.update(keys)
+        points = sum(len(sh.by_dim[0]) for sh in shapes.values())
+        if points:
+            out[()] = points
+        # star-args from a list, not an iterator: CPython builds the args
+        # tuple of an iterator by resizing, and each such tuple, once freed,
+        # stays on the free list for its size, several MiB over a long run
+        by_point = [sh.minima_getters for sh in shapes.values()]
+        for k, getters in enumerate(itertools.zip_longest(*by_point, fillvalue=_NO_CHAINS), 1):
+            flat = itertools.chain.from_iterable(map(_apply, getters, lows))
+            out.update(zip(*[flat] * k))
         return out
 
     @cached_property
@@ -521,17 +570,21 @@ class CellComplex:
         """(covers, exponent sum) of each (d-1)-cell, d = ambient_dim, in cell order.
 
         covers is the number of d-cells with the cell as a facet, and the
-        exponent sum adds the smallest base coordinate over each block.
+        exponent sum adds the smallest base coordinate over each block, read
+        as exponent_tally reads it.
         """
         d = self.ambient_dim
         covers = self._facet_covers if self.dim == d else {}
         out = []
         for p, sh in self.shapes.items():
             if len(sh.by_dim) >= d:
-                low = _minima(p).__getitem__
+                if d > 1:
+                    flat = sh.minima_getters[d - 2](_minima(p))
+                    sums = map(sum, zip(*[iter(flat)] * (d - 1)))
+                else:
+                    sums = itertools.repeat(0)
                 out.extend(
-                    (covers.get((p, blocks), 0), sum(map(low, blocks)))
-                    for blocks in sh.by_dim[d - 1]
+                    (covers.get((p, blocks), 0), e) for blocks, e in zip(sh.by_dim[d - 1], sums)
                 )
         return out
 

@@ -62,7 +62,7 @@ def _load_matrix(args) -> TropMatrix:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read {args.input}: {exc}")
         return TropMatrix.from_json(text, allow_minus_inf_columns=True)
     name = (args.fixture or "").lower()
@@ -73,8 +73,11 @@ def _load_matrix(args) -> TropMatrix:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -607,7 +607,10 @@ def _formula_sum(tally: Counter, d: int, b: int, guard: int) -> tuple:
     classes: dict = {}  # shifted tuple -> sums
     for exps, count in tally.items():
         s = min(exps, default=0)
-        sums = classes.setdefault(tuple(e - s for e in exps), [0] * (len(exps) + 1))
+        shifted = tuple([e - s for e in exps]) if s else exps
+        sums = classes.get(shifted)
+        if sums is None:
+            sums = classes[shifted] = [0] * (len(exps) + 1)
         scale = b ** s
         term = count
         for i in range(len(sums)):

@@ -454,7 +454,9 @@ def test_triangulation_matches_brute_force_with_negative_entries():
 
 
 def _pattern_cases():
-    """Seeded matrices with 1..4 rows, negative entries and translates."""
+    """Seeded matrices with 1..6 rows, negative entries, translates and
+    repeated rows (every lattice point then has tied coordinates), and a
+    segment whose lower end has a single 1-chain of one block."""
     rng = random.Random(2204)
     for _ in range(60):
         d = rng.randint(1, 4)
@@ -463,13 +465,24 @@ def _pattern_cases():
         m = TropMatrix.from_rows([[rng.randint(lo, lo + top) for _ in range(n)] for _ in range(d)])
         yield m
         yield m.translate(rng.randint(-3, 3))
+    for d in (5, 6) * 10:
+        lo, n = rng.randint(-2, 1), rng.randint(1, 3)
+        yield TropMatrix.from_rows([[rng.randint(lo, lo + 1) for _ in range(n)] for _ in range(d)])
+    for _ in range(10):
+        d, n = rng.randint(2, 4), rng.randint(2, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d - 1)]
+        yield TropMatrix.from_rows(rows + [rows[rng.randrange(d - 1)]])
+    yield from (TropMatrix.from_rows([[0, 1], [0, 0]]), TropMatrix.from_rows([[-2, -1], [3, 3], [0, 0]]))
     yield from (fix_4d(), fix_l(5), cartesian_product(*fix_prod(3)))
 
 
 def test_pattern_tables_match_cell_by_cell_oracles():
     # cells materialised from the chain shapes, and every table read off
     # the shapes, equal the cell-by-cell walk and what it derives from its
-    # cells, the order of the tally and of each dict included
+    # cells, the order of the tally and of each dict included; so do the
+    # tally and the facet table of a complex built from a seeded subset of
+    # the cells, where a point may lack its 0-cell or a whole dimension
+    rng = random.Random(2805)
     seen = Counter()
     for m in _pattern_cases():
         cx = enumerate_triangulation(m)
@@ -478,8 +491,17 @@ def test_pattern_tables_match_cell_by_cell_oracles():
         assert _tables_of(cx) == _tables_from_cells(cells, m.rows), m.entries
         assert cx.dim == max(c.dim for c in cells)
         assert cx.vertices() == sorted(c.vertices[0] for c in cells if c.dim == 0)
+        some = [c for c in cells if rng.random() < 0.6]
+        sub, want = CellComplex(m.rows, some), _tables_from_cells(some, m.rows)
+        assert list(sub.exponent_tally.items()) == want["tally"], m.entries
+        assert list(sub.facet_exponents) == want["facets"], m.entries
         seen["rows %d" % m.rows] += 1
         seen["negative"] += not m.is_nonnegative()
+        seen["tied"] += any(len(set(p)) < len(p) for p in cx.shapes)
+        seen["one 1-chain"] += any(
+            len(sh.by_dim) > 1 and len(sh.by_dim[1]) == 1 for sh in cx.shapes.values()
+        )
+        seen["subset lacks a 0-cell"] += any(not sh.by_dim[0] for sh in sub.shapes.values())
         seen["full"] += cx.dim == m.rows
         seen["covered twice"] += 2 in cx.facet_cover_count.values()
         if m.rows <= 3 and len(cells) <= 40:

@@ -487,6 +487,43 @@ def test_malformed_matrix_json_exits_two(tmp_path: Path, text: str, stderr: str)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
 
 
+@pytest.mark.parametrize(
+    "case, stderr",
+    [
+        (
+            "input not utf-8",
+            "error: cannot read {input}: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte",
+        ),
+        ("out a directory", "error: cannot write {out}: [Errno 21] Is a directory: '{out}'"),
+        (
+            "out in a missing directory",
+            "error: cannot write {out}: [Errno 2] No such file or directory: '{out}'",
+        ),
+    ],
+)
+def test_unreadable_input_and_unwritable_out_exit_two(
+    tmp_path: Path, case: str, stderr: str
+) -> None:
+    # file errors on either side of a report are validation errors, not tracebacks
+    source = tmp_path / "m.json"
+    out = {
+        "input not utf-8": tmp_path / "report.json",
+        "out a directory": tmp_path,
+        "out in a missing directory": tmp_path / "missing" / "report.json",
+    }[case]
+    if case == "input not utf-8":
+        source.write_bytes(b'\xff{"rows": 1, "cols": 1, "entries": [[0]]}')
+    else:
+        source.write_text('{"rows": 1, "cols": 1, "entries": [[0]]}')
+    proc = _run("volume", "--input", str(source), "--out", str(out))
+    first = proc.stderr.splitlines()[0] if proc.stderr else ""
+    assert (proc.returncode, proc.stdout, first) == (
+        2, "", stderr.format(input=source, out=out)
+    )
+    assert case != "input not utf-8" or not out.exists()
+
+
 def test_volume_subset_sweep_past_the_guard_exits_three(tmp_path: Path) -> None:
     # a 5x40 report would expand C(40, 5) * 5! = 78,960,960 terms; the
     # charge trips before the sweep, under the default guard

@@ -619,8 +619,10 @@ def _complex_tables(m, guard):
 
 
 def _table_cases():
-    """Seeded 1-4 row matrices, translated by 0..2, and fixtures whose cells
-    have blocks far apart, so that some class costs more than the cells."""
+    """Seeded 1-6 row matrices, translated by 0..2, one with a repeated row
+    (tied coordinates at every lattice point), a segment whose lower end has
+    a single 1-chain, and fixtures whose cells have blocks far apart, so
+    that some class costs more than the cells."""
     rng = random.Random(2301)
     for _ in range(14):
         d = rng.randint(1, 4)
@@ -628,6 +630,12 @@ def _table_cases():
         n = rng.randint(2, 5)
         rows = [[rng.randint(0, top) for _ in range(n)] for _ in range(d)]
         yield TropMatrix.from_rows(rows).translate(rng.randint(0, 2))
+    for d in (1, 5, 6):
+        rows = [[rng.randint(0, 1 if d > 1 else 8) for _ in range(3)] for _ in range(d)]
+        yield TropMatrix.from_rows(rows).translate(rng.randint(0, 2))
+    rows = [[rng.randint(0, 4) for _ in range(4)] for _ in range(2)]
+    yield TropMatrix.from_rows(rows + [rows[0]])
+    yield TropMatrix.from_rows([[1, 2], [1, 1], [3, 3]])
     yield from (fix_4d(), fix_tri(6, 2), fix_tri(4, 1).translate(2), alcove_simplex((3, 1)))
     yield from (alcove_simplex((0, 4, 2)), alcove_simplex((0, 3, 1, 2)).translate(1))
 
