@@ -557,15 +557,6 @@ class CellComplex:
         return counts
 
     @cached_property
-    def facet_cover_count(self) -> dict:
-        """For each (dim-1)-cell, by vertex tuple: how many top cells cover it."""
-        units = _units(self.ambient_dim)
-        return {
-            (p, *(tuple(map(add, p, units[S])) for S in itertools.accumulate(blocks, or_))): n
-            for (p, blocks), n in self._facet_covers.items()
-        }
-
-    @cached_property
     def facet_exponents(self) -> list:
         """(covers, exponent sum) of each (d-1)-cell, d = ambient_dim, in cell order.
 
@@ -588,16 +579,6 @@ class CellComplex:
                 )
         return out
 
-    @cached_property
-    def _facet_boundary_closure(self) -> frozenset:
-        """Vertex tuples of all faces of the facets covered by exactly one top cell."""
-        return frozenset(
-            f.vertices
-            for c in self.cells_of_dim(self.dim - 1)
-            if self.facet_cover_count.get(c.vertices, 0) == 1
-            for f in c.faces()
-        )
-
     def is_pure(self) -> bool:
         """Every cell is a face of a top-dimensional cell."""
         covered = {f.vertices for c in self.cells_of_dim(self.dim) for f in c.faces()}
@@ -607,9 +588,18 @@ class CellComplex:
         """Cells not lying in the closure of the support's boundary.
 
         Only meaningful for pure complexes, where the boundary is the union of
-        facets covered exactly once.
+        facets covered exactly once (_facet_covers).  Its closure is every
+        vertex subchain of those facets.
         """
-        closure = self._facet_boundary_closure
+        units = _units(self.ambient_dim)
+        closure = set()
+        for (p, blocks), n in self._facet_covers.items():
+            if n == 1:
+                sets = itertools.accumulate(blocks, or_)
+                vs = (p, *(tuple(map(add, p, units[S])) for S in sets))
+                closure.update(
+                    sub for r in range(1, len(vs) + 1) for sub in itertools.combinations(vs, r)
+                )
         return [c for c in self.cells if c.vertices not in closure]
 
     def euler_characteristic(self) -> int:

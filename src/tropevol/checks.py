@@ -29,6 +29,7 @@ from .core import (
     trop_distance,
 )
 from .ehrhart import (
+    _check_exponent,
     coeffs_via_formula,
     count_tropical,
     count_via_cells,
@@ -782,7 +783,8 @@ SUITES = {
 def run_suites(names=None, seed=0, cases=None):
     """Run the chosen suites (all by default); returns a list of SuiteResult.
 
-    Each suite runs its own default number of cases unless cases is given.
+    Each suite runs its own default number of cases unless cases is given,
+    as a non-bool int >= 0; every argument is checked before any suite runs.
     """
     names = list(SUITES) if names is None else names
     for name in names:
@@ -790,5 +792,7 @@ def run_suites(names=None, seed=0, cases=None):
             raise ValidationError(
                 f"unknown suite {name!r}; available: {', '.join(SUITES)}"
             )
+    if cases is not None:
+        _check_exponent(cases, "cases")
     sized = {} if cases is None else {"cases": cases}
     return [SUITES[name](seed=seed, **sized) for name in names]

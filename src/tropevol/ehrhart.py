@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
@@ -141,7 +141,7 @@ def _negative(value) -> bool:
 
 
 def _check_exponent(value, name: str) -> None:
-    """The one rule for k, kmax and a dilation t: a non-bool int, at least 0."""
+    """The one rule for k, kmax, a dilation t and a suite's cases: a non-bool int, at least 0."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
@@ -349,24 +349,6 @@ def _dilate_counts(m: TropMatrix, b: int, top: int, guard: int) -> list:
     return [_sublattice_count(scan, b ** (K - k)) for k in range(K + 1)]
 
 
-def _scan_counter(top: int) -> Callable[[TropMatrix, int, int, int], int]:
-    """A counter for tropical_ehrhart_poly that scans the box once.
-
-    Its first call reads k = 0..K off one scan (_dilate_counts); later calls
-    with k <= K look their count up.  A k above K goes to count_tropical,
-    whose guard check raises the GuardExceeded of that k's box.
-    """
-    scanned = None
-
-    def count(m: TropMatrix, b: int, k: int, guard: int) -> int:
-        nonlocal scanned
-        if scanned is None:
-            scanned = _dilate_counts(m, b, top, guard)
-        return scanned[k] if k < len(scanned) else count_tropical(m, b, k, guard)
-
-    return count
-
-
 def cell_exponents(cell: AlcovedSimplex) -> tuple:
     """Chain weight exponents e_l: the smallest base coordinate on the l-th block.
 
@@ -378,11 +360,6 @@ def cell_exponents(cell: AlcovedSimplex) -> tuple:
     return tuple(
         min(p for p, c in zip(prev, cur) if c != p) for prev, cur in zip(vs, vs[1:])
     )
-
-
-def _tally(cells) -> Counter:
-    """Exponent tuple -> number of cells with it, in order of first appearance."""
-    return Counter(map(cell_exponents, cells))
 
 
 def cell_weights(cell: AlcovedSimplex, b: int) -> tuple:
@@ -673,50 +650,46 @@ def c_dminus1_direct(arg, b: int, guard: int | None = None) -> Fraction:
 
 
 def tropical_ehrhart_poly(
-    m: TropMatrix,
-    b: int,
-    guard: int | None = None,
-    counter: Optional[Callable[[TropMatrix, int, int, int], int]] = None,
+    m: TropMatrix, b: int, guard: int | None = None
 ) -> TropicalEhrhartPolynomial:
     """Recover the counting polynomial by interpolation at k = 0..d.
 
     The nodes b**0..b**d are distinct, so the Vandermonde system is regular
     and Lagrange interpolation is exact.  The prediction is verified against
-    one extra count at k = d+1 when that box fits under the guard.  Without
-    a counter, all d + 2 counts are read off one box scan (_scan_counter).
+    one extra count at k = d+1 when that box fits under the guard.  All
+    d + 2 counts are read off one box scan (_dilate_counts).
     """
     check_base(b)
     _check_counting_matrix(m, allow_minus_inf=False)
     guard = resolve_guard(guard)
-    return _interpolate(m, b, guard, counter or _scan_counter(m.rows + 1))
+    return _interpolate(m, b, guard, _dilate_counts(m, b, m.rows + 1, guard))
 
 
-def _interpolate(m: TropMatrix, b: int, guard: int, count) -> TropicalEhrhartPolynomial:
+def _interpolate(m: TropMatrix, b: int, guard: int, counts: list) -> TropicalEhrhartPolynomial:
     """tropical_ehrhart_poly on checked arguments, in integers until the end.
 
-    The counts at k = 0..d go through the integer table of the nodes
-    b**0..b**d (_node_table), giving den * c_i; the prediction at k = d + 1
-    is compared as den times the count, and the d + 1 Fractions are formed
-    last.
+    counts[k] is the count at k, as _dilate_counts lists them.  The counts
+    at k = 0..d go through the integer table of the nodes b**0..b**d
+    (_node_table), giving den * c_i; when the list holds k = d + 1, the
+    prediction there is compared as den times its count, and the d + 1
+    Fractions are formed last.  A node past the list goes to
+    count_tropical, whose guard check raises that node's GuardExceeded.
     """
     d = m.rows
+    if len(counts) <= d:
+        count_tropical(m, b, len(counts), guard)  # past the scan, so past the guard
     den, table = _node_table(tuple(b ** k for k in range(d + 1)))
-    counts = [count(m, b, k, guard) for k in range(d + 1)]
-    scaled = [sum(map(mul, row, counts)) for row in table]  # den * c_i
+    scaled = [sum(map(mul, row, counts)) for row in table]  # den * c_i, off counts[0..d]
     verified = None
-    try:
-        extra = count(m, b, d + 1, guard)
-    except GuardExceeded:
-        extra = None
-    if extra is not None:
+    if len(counts) > d + 1:
         x = b ** (d + 1)
         predicted = 0
         for c in reversed(scaled):
             predicted = predicted * x + c
-        if predicted != extra * den:
+        if predicted != counts[d + 1] * den:
             raise CrossCheckError(
                 f"interpolated polynomial fails at k={d + 1}: "
-                f"predicted {Fraction(predicted, den)}, counted {extra}"
+                f"predicted {Fraction(predicted, den)}, counted {counts[d + 1]}"
             )
         verified = d + 1
     return TropicalEhrhartPolynomial(b, tuple(Fraction(c, den) for c in scaled), verified)
@@ -727,7 +700,8 @@ def interior_coeffs_via_formula(arg, b: int, guard: int | None = None) -> tuple:
     check_base(b)
     guard = resolve_guard(guard)
     complex_ = counting_complex(arg, guard)
-    return _formula_sum(_tally(complex_.interior_cells()), complex_.ambient_dim, b, guard)
+    tally = Counter(map(cell_exponents, complex_.interior_cells()))
+    return _formula_sum(tally, complex_.ambient_dim, b, guard)
 
 
 def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:
@@ -848,16 +822,17 @@ def ehrhart_report(m: TropMatrix, b: int, kmax: int, guard: int | None = None) -
     check_base(b)
     _check_counting_matrix(m, allow_minus_inf=False)
     _check_exponent(kmax, "kmax")
-    count = _scan_counter(max(kmax, m.rows + 1))
-    poly = _interpolate(m, b, guard, count)
+    counts = _dilate_counts(m, b, max(kmax, m.rows + 1), guard)
+    poly = _interpolate(m, b, guard, counts)
     complex_ = as_complex(m, guard)
     formula = _formula_sum(complex_.exponent_tally, complex_.ambient_dim, b, guard)
-    counts = [{"k": k, "value": count(m, b, k, guard)} for k in range(kmax + 1)]
+    if len(counts) <= kmax:
+        count_tropical(m, b, len(counts), guard)  # past the scan, so past the guard
     return {
         "b": b,
         "coeffs": [str(format_entry(c)) for c in poly.coeffs],
         "formula_coeffs": [str(format_entry(c)) for c in formula],
         "agree": tuple(poly.coeffs) == tuple(formula),
-        "counts": counts,
+        "counts": [{"k": k, "value": v} for k, v in enumerate(counts[:kmax + 1])],
     }
 

@@ -8,7 +8,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import add, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +90,7 @@ def _tables_from_cells(cells, d):
     return {
         "tally": list(Counter(map(cell_exponents, cells)).items()),
         "vertex_max_dim": list(vertex_max_dim.items()),
-        "facet_cover_count": list(covers.items()),
+        "facet_covers": list(covers.items()),
         "euler": sum((-1) ** c.dim for c in cells),
         "tlvol": (best, next((p for p in full if sum(p) + d == best), None)),
         "facets": facets,
@@ -98,11 +98,20 @@ def _tables_from_cells(cells, d):
     }
 
 
+def _vertex_covers(cx):
+    """cx._facet_covers with each (base, blocks) key turned into its vertex tuple."""
+    def vertices(p, blocks):
+        sets = itertools.accumulate(blocks, or_)
+        return (p, *(tuple(x + (S >> i & 1) for i, x in enumerate(p)) for S in sets))
+
+    return {vertices(*key): n for key, n in cx._facet_covers.items()}
+
+
 def _tables_of(cx):
     return {
         "tally": list(cx.exponent_tally.items()),
         "vertex_max_dim": list(cx.vertex_max_dim.items()),
-        "facet_cover_count": list(cx.facet_cover_count.items()),
+        "facet_covers": list(_vertex_covers(cx).items()),
         "euler": cx.euler_characteristic(),
         "tlvol": tlvol_triangulation(cx),
         "facets": list(cx.facet_exponents),
@@ -235,7 +244,7 @@ def test_triangle_complex_structure():
     assert cx.is_pure()
     assert cx.vertices() == [(0, 0), (0, 1), (1, 1)]
     # each triangle edge is covered exactly once
-    assert set(cx.facet_cover_count.values()) == {1}
+    assert set(cx._facet_covers.values()) == {1}
     assert [c.vertices for c in cx.interior_cells()] == [((0, 0), (0, 1), (1, 1))]
 
 
@@ -433,8 +442,8 @@ def test_triangulation_is_translation_equivariant():
         for c in range(-3, 4):
             moved = enumerate_triangulation(m.translate(c))
             assert _chains(moved.cells) == [_moved(vs, c) for vs in _chains(cx.cells)]
-            assert moved.facet_cover_count == {
-                _moved(vs, c): n for vs, n in cx.facet_cover_count.items()
+            assert _vertex_covers(moved) == {
+                _moved(vs, c): n for vs, n in _vertex_covers(cx).items()
             }
             for i in range(m.rows + 1):
                 assert _chains(trunk(moved, i).cells) == [
@@ -503,11 +512,42 @@ def test_pattern_tables_match_cell_by_cell_oracles():
         )
         seen["subset lacks a 0-cell"] += any(not sh.by_dim[0] for sh in sub.shapes.values())
         seen["full"] += cx.dim == m.rows
-        seen["covered twice"] += 2 in cx.facet_cover_count.values()
+        seen["covered twice"] += 2 in cx._facet_covers.values()
         if m.rows <= 3 and len(cells) <= 40:
             assert enumerate_triangulation_brute(m).cells == cells, m.entries
             seen["brute"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _interior_cells_oracle(cells):
+    """The cells off every face (AlcovedSimplex.faces) of the cells of dimension
+    dim - 1 that exactly one cell of the top dimension has as a facet."""
+    dim = max((c.dim for c in cells), default=-1)
+    covers = Counter(f.vertices for c in cells if c.dim == dim for f in c.facets())
+    closure = {
+        f.vertices for c in cells if c.dim == dim - 1 and covers[c.vertices] == 1 for f in c.faces()
+    }
+    return [c for c in cells if c.vertices not in closure]
+
+
+def test_interior_cells_match_faces_of_once_covered_facets():
+    # interior_cells reads its boundary closure off the (base, blocks) cover
+    # table; the oracle takes the faces of the once-covered facet cells, on
+    # triangulations, on their trunks and on seeded subsets of their cells
+    rng = random.Random(3001)
+    seen = Counter()
+    for m in _seeded_matrices(3002, 500, lo=-2, hi=3):
+        cx = enumerate_triangulation(m)
+        some = [c for c in cx.cells if rng.random() < 0.7]
+        for complex_ in (cx, trunk(cx, rng.randint(0, m.rows)), CellComplex(m.rows, some)):
+            want = _interior_cells_oracle(complex_.cells)
+            assert complex_.interior_cells() == want, m.entries
+            seen["inputs"] += 1
+            seen["boundary"] += len(want) < len(complex_.cells)
+            seen["interior"] += bool(want)
+            seen["pure of full dimension"] += complex_.is_pure() and complex_.dim == m.rows
+            seen["covered twice"] += 2 in complex_._facet_covers.values()
+    assert seen["inputs"] >= 1000 and min(seen.values()) >= 100, seen
 
 
 def _tuple_pattern_shapes(m):

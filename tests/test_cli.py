@@ -470,6 +470,9 @@ def test_parse_and_validation_exits() -> None:
     assert _run("volume", "--input", "/nonexistent.json").returncode == 2
     assert _run("ehrhart", "--fixture", "L", "--b", "1").returncode == 2
     assert _run("volume", "--fixture", "L", "--definitely-not-a-flag").returncode == 2
+    negative = _run("check", "--suite", "kleene", "--cases", "-3")
+    assert (negative.returncode, negative.stdout) == (2, "")
+    assert negative.stderr == "error: cases must be a nonnegative integer, got -3\n"
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from tropevol.fixtures import (
     fix_prod,
     fix_tri,
 )
+from tropevol.guard import resolve_guard
 from tropevol.ratpoly import lagrange_interpolate, poly_eval
 from tropevol.volumes import cartesian_product, discrete_surface
 
@@ -480,14 +481,25 @@ def test_ehrhart_report_scans_the_box_once(monkeypatch):
 
 def test_ehrhart_report_scans_at_d_when_d_plus_one_does_not_fit(monkeypatch):
     # the k = 3 box has 65**2 = 4225 points, past the guard; k = 2 has 1089
+    # so the scan stops at k = 2 and the k = 3 check is skipped, not counted
     scans, fallbacks = _record_scans(monkeypatch)
     rep = ehrhart_report(fix_l(4), 2, 2, guard=2000)
     assert scans == [2 ** 2]
-    assert fallbacks == [3]  # the verification, skipped on its GuardExceeded
+    assert fallbacks == []
     assert [c["value"] for c in rep["counts"]] == L4_COUNTS[2][:3]
     assert rep["agree"] is True
+    scans.clear()
     poly = tropical_ehrhart_poly(fix_l(4), 2, guard=2000)
+    assert scans == [2 ** 2]
+    assert fallbacks == []
     assert poly.verified_at is None and poly.coeffs == L4_COEFFS[2]
+    # a node past the scan is read through count_tropical, which raises
+    # that node's own error: the k = 2 box has 1089 points
+    scans.clear()
+    with pytest.raises(GuardExceeded, match="needs about 1089 steps, guard is 1000$"):
+        tropical_ehrhart_poly(fix_l(4), 2, guard=1000)
+    assert scans == [2 ** 1]
+    assert fallbacks == [2]
 
 
 def test_ehrhart_report_scans_once_above_d_plus_one(monkeypatch):
@@ -1211,7 +1223,9 @@ def test_interpolation_matches_lagrange_on_the_counts():
 
 def test_tampered_check_count_raises_the_same_text():
     # the k = d + 1 check runs in integers; its message is the one the
-    # Fraction route gave, with the prediction of the tampered nodes
+    # Fraction route gave, with the prediction of the tampered nodes; the
+    # same list cut before k = d + 1 skips the check
+    guard = resolve_guard(None)
     for m, b in ((fix_l(4), 2), (alcove_simplex((0, 2, 1)), 2), (fix_tri(3, 1), 3)):
         d = m.rows
         true = [count_tropical(m, b, k) for k in range(d + 2)]
@@ -1220,11 +1234,14 @@ def test_tampered_check_count_raises_the_same_text():
             pts = [(Fraction(b) ** k, counts[k]) for k in range(d + 1)]
             predicted = poly_eval(lagrange_interpolate(pts), Fraction(b) ** (d + 1))
             with pytest.raises(CrossCheckError) as info:
-                tropical_ehrhart_poly(m, b, counter=lambda m, b, k, guard: counts[k])
+                ehrhart._interpolate(m, b, guard, counts)
             assert str(info.value) == (
                 f"interpolated polynomial fails at k={d + 1}: "
                 f"predicted {predicted}, counted {counts[d + 1]}"
             )
+            poly = ehrhart._interpolate(m, b, guard, counts[:d + 1])
+            assert poly.verified_at is None
+            assert poly.coeffs == lagrange_interpolate(pts)
 
 
 @st.composite

@@ -516,7 +516,7 @@ def test_discrete_surface_matches_sampled_log_coefficient() -> None:
         assert value == log_coefficient(m, m.rows - 1), m.entries
         assert discrete_surface(m) == value
         nones += value is None
-        covered_twice += complex_.dim == m.rows and 2 in complex_.facet_cover_count.values()
+        covered_twice += complex_.dim == m.rows and 2 in complex_._facet_covers.values()
     assert nones >= 20
     assert covered_twice >= 20
 
