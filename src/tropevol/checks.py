@@ -44,6 +44,7 @@ from .ehrhart import (
 from .errors import GuardExceeded, ValidationError
 from .linalg import (
     _column_subset_table,
+    _expansion_terms,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -109,6 +110,25 @@ def _rand_matrix(rng, d=None, m=None, lo=0, hi=4, minus_inf_chance=0.0,
             return TropMatrix.from_rows(rows)
         except ValidationError:
             continue  # redraw on an all-minus-inf column
+
+
+def _best_two_brute(m: TropMatrix, js) -> tuple:
+    """Oracle for one entry of the column subset table: (best, second, first
+    maximizer) of the d x d submatrix on columns js, by expanding all d!
+    permutations in order (d <= BRUTE_LIMIT).
+
+    second is the best term after excluding the first maximizer, so ties at
+    the top make it equal to best; a missing term is -inf, and the maximizer
+    is None when best is.
+    """
+    best = second = top = None
+    for sigma, term in _expansion_terms(m.entries, js, "second-best value"):
+        if best is None or term > best:
+            second = best
+            best, top = term, sigma
+        elif second is None or term > second:
+            second = term
+    return best, second, top
 
 
 def _in_simplex(vertices, x) -> bool:
@@ -416,7 +436,9 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
     """Criterion-style cross-algorithm oracle: volumes and counts must agree.
 
     tlvol comes three ways: the Hungarian subset sweep, the triangulation,
-    and the volume report's reading of its column subset table.
+    and the volume report's reading of its column subset table.  The table
+    itself, a dynamic programme over column sets, is compared entry by entry
+    with the permutation expansion of each subset (_best_two_brute).
     """
     res = SuiteResult("cross-volume")
     rng = random.Random(seed)
@@ -433,6 +455,12 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
         )
         # The report's route, without the report's own triangulation.
         table = _column_subset_table(m) if m.cols > m.rows else None
+        for js, entry in (table or {}).items():
+            want = _best_two_brute(m, js)
+            res.check(
+                entry == want,
+                f"subset table {entry!r} != expansion {want!r} at {js} on {m.entries}",
+            )
         rep = _tlvol_from_table(m, table)
         res.check(
             rep == sub,

@@ -4,13 +4,16 @@ The tropical determinant of a square matrix is the optimal assignment value
 max_sigma sum_i A[i][sigma(i)], with forbidden (-inf) cells.  It is computed
 by a shortest-augmenting-path Hungarian method that also returns dual vectors
 u, v with A[i][j] <= u_i + v_j and equality on the optimal matching; the duals
-certify optimality.  Brute-force enumerations are kept for the quantities
-that are defined through explicit permutation expansions (second-best value,
-signed bideterminant) and double as oracles in the tests.
+certify optimality.  Brute-force enumerations are kept for the signed
+bideterminant, which is defined through the explicit permutation expansion,
+and double as oracles in the tests.
 
-A volume report analyses each matrix once.  One permutation expansion per
-d x d column subset yields the best term, the second-best term and the
-first maximizing permutation together (_column_subset_table).  From that one
+A volume report analyses each matrix once.  One dynamic programme over
+column sets, rows taken from last to first, yields for every d x d column
+subset the best term, the second-best term and the first maximizing
+permutation together (_column_subset_table), in sum_k k * C(n, k) updates
+for k <= d rather than C(n, d) * d! terms; the second-best value of a
+square matrix is the same programme on its one subset.  From that one
 table come the dequantized volume qtvol+ (the best term is the determinant),
 tvol (the gap between the two) and, in volumes, every (d+1)-column simplex
 of the barycentric volume: the terms of [0 ... 0; A_K] are the union over
@@ -164,37 +167,13 @@ def tdet_brute(a: TropMatrix) -> Entry:
     return tsum(term for _, term in _square_terms(a, "brute determinant"))
 
 
-def _best_two(m: TropMatrix, js: Sequence[int]) -> tuple:
-    """(best, second, first maximizer) of the d x d submatrix on columns js.
-
-    second is the best term after excluding the first maximizer, so ties at
-    the top make it equal to best; a missing term is -inf.  The maximizer
-    is the first bijection from the rows onto js, in permutation order,
-    that attains best (None when best is -inf).  Past BRUTE_LIMIT columns
-    the expansion is refused, unless the Hungarian solve shows that no term
-    is finite.
-    """
-    if len(js) > BRUTE_LIMIT and tdet(m.submatrix_columns(js)).value is None:
-        return None, None, None
-    best: Entry = None
-    second: Entry = None
-    top = None
-    for sigma, term in _expansion_terms(m.entries, js, "second-best value"):
-        if best is None or term > best:
-            second = best
-            best, top = term, sigma
-        elif second is None or term > second:
-            second = term
-    return best, second, top
-
-
 def tdet_second(a: TropMatrix) -> Entry:
     """Second-largest permutation value, excluding one fixed maximizer.
 
     Ties at the top mean the second value equals the top value.  -inf when at
     most one permutation has a finite expansion term.
     """
-    return _best_two(a, range(_require_square(a)))[1]
+    return _square_best_two(a)[1]
 
 
 @dataclass(frozen=True)
@@ -303,6 +282,7 @@ def is_nonsingular_brute(a: TropMatrix) -> bool:
     return count == 1
 
 
+_NO_TERM = (None, None, None)  # a column subset without a finite term
 UNIQUE_GAP = "unique"  # marker value when no second finite permutation exists
 
 
@@ -313,7 +293,7 @@ def tvol_square(a: TropMatrix):
     marker when only one permutation has a finite expansion term.  -inf (None)
     when even the best value is -inf.
     """
-    best, second, _ = _best_two(a, range(_require_square(a)))
+    best, second, _ = _square_best_two(a)
     if best is None:
         return None
     if second is None:
@@ -322,11 +302,78 @@ def tvol_square(a: TropMatrix):
 
 
 def _column_subset_table(m: TropMatrix) -> dict:
-    """columns js -> _best_two(m, js) for every d-subset, in lexicographic order."""
-    d, cols = m.rows, m.cols
-    if cols < d:
-        raise ValidationError(f"need at least {d} columns, got {cols}")
-    return {js: _best_two(m, js) for js in combinations(range(cols), d)}
+    """columns js -> (best, second, first maximizer) of the d x d submatrix on
+    js, for every d-subset js in lexicographic order.
+
+    second is the best term after excluding the first maximizer, so ties at
+    the top make it equal to best; a missing term is -inf.  The maximizer is
+    the first bijection from the rows onto js, in permutation order, that
+    attains best (None when best is -inf).
+
+    One dynamic programme over column sets, rows taken from last to first:
+    the state of a k-set S describes the bijections from the last k rows
+    onto S by their two best terms, as a multiset, and the lexicographically
+    first maximizer.  A k-set T is filled from each j in T in increasing
+    order, as row[j] plus the state of T minus j; a replacement of the best
+    needs a strict increase, so the first maximizer in order is kept.  That
+    is sum_k k * C(n, k) updates over k <= d, not C(n, d) * d! terms.  Past
+    BRUTE_LIMIT rows the table is refused, unless the Hungarian solve shows
+    that no subset has a finite term.
+    """
+    d, n = m.rows, m.cols
+    if n < d:
+        raise ValidationError(f"need at least {d} columns, got {n}")
+    if d > BRUTE_LIMIT:
+        subsets = list(combinations(range(n), d))
+        if any(tdet(m.submatrix_columns(js)).value is not None for js in subsets):
+            raise ValidationError(f"second-best value limited to n <= {BRUTE_LIMIT}")
+        return dict.fromkeys(subsets, _NO_TERM)
+    if d == 1:
+        return {(j,): _NO_TERM if e is None else (e, None, (j,))
+                for j, e in enumerate(m.entries[0])}
+    bits = [1 << j for j in range(n)]
+    # column mask -> (best, second, maximizer); sets without a finite term
+    # are left out, except on the last level, which keeps every d-subset
+    states = {
+        bits[j]: (e, None, (j,)) for j, e in enumerate(m.entries[d - 1]) if e is not None
+    }
+    for k in range(2, d + 1):
+        row = m.entries[d - k]
+        get = states.get
+        last = k == d
+        level = {}
+        for cols, masks in zip(combinations(range(n), k), combinations(bits, k)):
+            mask = sum(masks)
+            best = second = top = None
+            for j in cols:
+                e = row[j]
+                if e is None:
+                    continue
+                state = get(mask - bits[j])
+                if state is None:
+                    continue
+                v = e + state[0]
+                if best is None or v > best:
+                    # the old best and the sub-state's second both trail v;
+                    # on the elif branch e + s <= v, so v alone can raise second
+                    s = state[1]
+                    if s is None or (best is not None and best >= e + s):
+                        second = best
+                    else:
+                        second = e + s
+                    best, top = v, (j,) + state[2]
+                elif second is None or v > second:
+                    second = v
+            if top is not None or last:
+                level[mask] = (best, second, top)
+        states = level
+    return dict(zip(combinations(range(n), d), states.values()))
+
+
+def _square_best_two(a: TropMatrix) -> tuple:
+    """(best, second, first maximizer) of a square matrix's expansion."""
+    n = _require_square(a)
+    return _column_subset_table(a)[tuple(range(n))]
 
 
 def _volumes_from_table(table: dict) -> tuple:
@@ -353,7 +400,9 @@ def _volumes_from_table(table: dict) -> tuple:
 
 
 def _charge_column_sweep(m: TropMatrix, guard: int) -> None:
-    """Charge the d-subset sweep to the guard: C(n, d) expansions of d! terms."""
+    """Charge the d-subset sweep to the guard: C(n, d) * d!, the terms of
+    C(n, d) expansions.  The table's states and updates stay within twice
+    that (the worst case is n = d = 3: 12 entry reads against 6 terms)."""
     d, n = m.shape
     check_guard(comb(n, d) * factorial(d), guard, "column subset sweep")
 
@@ -362,7 +411,7 @@ def column_subset_volumes(m: TropMatrix, guard: int | None = None) -> tuple:
     """(qtvol+, its columns, tvol, its columns) from one sweep of the d-subsets.
 
     qtvol+ is the largest tropical d-minor, tvol the largest tvol_square over
-    the d x d column submatrices; both come from one expansion per subset.
+    the d x d column submatrices; both come from one column subset table.
     The witnesses are the first column subsets in lexicographic order that
     attain the maximum.  A subset with the UNIQUE_GAP marker dominates every
     numeric gap, and the first such subset is the tvol witness; a subset with

@@ -31,8 +31,9 @@ delta_F in {0, 1/2, 1} (a facet of at most two d-cells) and e_F the sum of
 F's chain weight exponents.  No term is negative, so nothing cancels and
 the degree is d - 1 plus the largest e_F with delta_F nonzero.  A report
 triangulates its matrix once and reads every functional off that complex.
-It also expands the d-column subsets once, into a table of the best and
-second-best terms and the first maximizer of each (linalg), and reads
+It also builds one table of the best and second-best terms and the first
+maximizer of every d-column subset, by one dynamic programme over column
+sets (linalg._column_subset_table), and reads
 qtvol+, tvol and every simplex of tlvol off that table (_tlvol_from_table),
 so it solves no assignment problem.  The standalone tlvol_subsets solves
 one per simplex, valid at any size, and is the reference the tests compare
@@ -390,11 +391,11 @@ def build_volume_report(
 
     The matrix is triangulated at most once: the triangulation methods and
     the i-volumes, surface areas and discrete surface all read one complex.
-    Its d-column subsets are expanded once, into the table that qtvol+,
-    tvol and the subsets route of tlvol all read.  Both subset sweeps are
-    charged to the guard before either runs: C(n, d) expansions of d!
-    terms each, then C(n, d + 1) simplices of d + 1 table reads each for
-    tlvol.
+    One table of its d-column subsets serves qtvol+, tvol and the subsets
+    route of tlvol.  Both subset sweeps are charged to the guard before
+    either runs: C(n, d) * d! for the table (the terms of C(n, d)
+    expansions, a bound on its work), then C(n, d + 1) simplices of d + 1
+    table reads each for tlvol.
     """
     guard = resolve_guard(guard)
     complex_ = _complex_for(m, method, guard)

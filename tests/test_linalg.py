@@ -9,10 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropevol.checks import _best_two_brute
 from tropevol.core import MINUS_INF, TropMatrix, tadd
 from tropevol.errors import ValidationError
 from tropevol.linalg import (
+    BRUTE_LIMIT,
     UNIQUE_GAP,
+    _column_subset_table,
+    _expansion_terms,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -113,6 +117,70 @@ def test_best_two_terms_match_the_sorted_expansion(m):
         assert tvol_square(m) is UNIQUE_GAP
     else:
         assert tvol_square(m) == terms[-1] - second
+
+
+def _subset_table_cases():
+    """Seeded d x n inputs, n = d..d+3: entries 0..3, 15% of them -inf, and a
+    duplicated column in about a fifth; then five 7- and 8-row inputs."""
+    rng = random.Random(31)
+    for case in range(1500):
+        d = 6 if case % 25 == 0 else rng.randint(1, 5)
+        n = rng.randint(d, d + 3)
+        rows = [
+            [None if rng.random() < 0.15 else rng.randint(0, 3) for _ in range(n)]
+            for _ in range(d)
+        ]
+        if n > 1 and rng.random() < 0.2:
+            src, dst = rng.sample(range(n), 2)
+            for row in rows:
+                row[dst] = row[src]
+        yield rows
+    for d, n in ((7, 7), (7, 8), (7, 9), (8, 8), (8, 9)):
+        yield [[rng.randint(0, 1) for _ in range(n)] for _ in range(d)]
+
+
+def test_subset_table_matches_the_expansion_oracle():
+    # The table is a dynamic programme over column sets; the oracle expands
+    # every permutation of every subset.  Values, witnesses and key order
+    # must all agree.
+    kinds = dict.fromkeys(("tied top", "unique term", "no term", "tie past row 0"), 0)
+    for rows in _subset_table_cases():
+        m = TropMatrix.from_rows(rows, allow_minus_inf_columns=True)
+        table = _column_subset_table(m)
+        want = {js: _best_two_brute(m, js) for js in itertools.combinations(range(m.cols), m.rows)}
+        assert table == want, rows
+        assert list(table) == list(want), rows
+        for js, (best, second, top) in want.items():
+            if best is None:
+                kinds["no term"] += 1
+            elif second is None:
+                kinds["unique term"] += 1
+            elif second == best:
+                kinds["tied top"] += 1
+                tops = [s for s, t in _expansion_terms(rows, js, "oracle") if t == best]
+                if any(s != top and s[0] == top[0] for s in tops):
+                    kinds["tie past row 0"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_second_best_past_the_expansion_limit():
+    # Past BRUTE_LIMIT the second-best value is refused when a finite term
+    # exists, and is -inf when none does (a Hungarian solve decides which).
+    n = BRUTE_LIMIT + 1
+    finite = TropMatrix.from_rows([[(i * j) % 3 for j in range(n)] for i in range(n)])
+    for call in (tdet_second, tvol_square):
+        with pytest.raises(ValidationError) as info:
+            call(finite)
+        assert str(info.value) == f"second-best value limited to n <= {BRUTE_LIMIT}"
+    # the first and the last row are -inf but in column 0, so every term is -inf
+    only_first = [0] + [None] * (n - 1)
+    blocked = TropMatrix.from_rows(
+        [only_first] + [[0] * n for _ in range(n - 2)] + [only_first],
+        allow_minus_inf_columns=True,
+    )
+    assert tdet(blocked).value is MINUS_INF
+    assert tdet_second(blocked) is MINUS_INF
+    assert tvol_square(blocked) is MINUS_INF
 
 
 def test_tvol_max_sub():
