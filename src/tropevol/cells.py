@@ -8,8 +8,11 @@ classically convex and tropically convex, and equal the tropical hull of
 their vertex chain; since tropical polytopes are tropically convex and
 closed, an open cell lies inside a hull P iff all its chain vertices do.
 Enumeration therefore reduces to: collect the lattice points of P, one
-axis-parallel fibre at a time, each an interval with closed-form ends (see
-lattice_points), then list the increment chains through that set.  Every
+axis-parallel fibre at a time, each an interval with closed-form ends, then
+list the increment chains through that set.  The coordinates off the fibre
+axis are fixed one at a time, and each prefix carries, per column, its
+prefix minimum and the bitmask of the fixed rows still tight on it, so each
+prefix costs one pass over the columns (see lattice_points).  Every
 chain is uniquely determined by its vertex set, so the vertex tuple, in chain
 order, is the canonical key and no deduplication is needed.
 
@@ -171,33 +174,46 @@ def lattice_points(m: TropMatrix, guard: int | None = None) -> set:
     x is in the hull iff capping its residuation coefficients
     lam_j = min_k (x_k - M_kj) at 0 recomposes x and some lam_j >= 0 (see
     core.contains).  Each capped term min(lam_j, 0) + M_ij is at most x_i,
-    so row i recomposes iff some j has lam_j = x_i - M_ij <= 0.
+    so row i recomposes iff it is tight on some column j:
+    lam_j = x_i - M_ij <= 0.
 
-    Fix every coordinate but x_a = s, with a the longest box axis (the first
-    on ties), and let c_j = min over k != a of x_k - M_kj (+inf with one
-    row), so lam_j = min(c_j, s - M_aj).  Then:
+    The coordinates are fixed one at a time, the fibre axis a (the longest
+    box axis, the first on ties) last.  A prefix carries, per column j, the
+    prefix minimum c_j of x_k - M_kj over the fixed rows k, and the bitmask
+    of the fixed rows i tight on j so far: x_i - M_ij = c_j <= 0.  Later
+    coordinates only lower c_j, so a row that left the mask of j is never
+    tight on j again.  Fixing x_k = v updates each column once, with
+    t = v - M_kj: if t < c_j the mask becomes {k}, or 0 when t > 0; if
+    t = c_j <= 0, k joins the mask; otherwise the mask stays.  With the
+    prefix's c and masks, the next coordinate x_k has three bounds:
 
-    * row a recomposes iff s - M_aj <= c_j and s <= M_aj for some j:
-      s <= hi = max_j min(c_j + M_aj, M_aj);
-    * row i != a recomposes iff some j has x_i <= M_ij, c_j = x_i - M_ij
-      and s - M_aj >= c_j: s >= the least such c_j + M_aj, and the fibre
-      is empty if there is no such j;
-    * some lam_j >= 0 iff some j has c_j >= 0 and s >= M_aj: s >= the least
-      M_aj over the j with c_j >= 0.
+    * row k recomposes only through a j with x_k - M_kj <= c_j and
+      x_k <= M_kj: x_k <= hi = max_j min(c_j + M_kj, M_kj);
+    * some lam_j >= 0 needs a j with c_j >= 0 and x_k >= M_kj: x_k is at
+      least the least such M_kj;
+    * a fixed row stays tight on a column of its mask iff x_k is at least
+      the column's threshold c_j + M_kj.  So every fixed row stays tight
+      somewhere iff x_k is at least the least threshold at which the OR of
+      the masks at or below it covers every fixed row: one pass over the
+      masked columns sorted by threshold.
 
-    So the fibre is range(lo, hi + 1), lo the largest lower bound.  It is
-    never below the box, as lo >= min_j M_aj.  Fibres of a tropical polytope
-    along an axis are intervals (Develin and Sturmfels, *Tropical
-    convexity*, 2004).  The other coordinates are fixed one at a time in
-    nested loops that carry the prefix minima of c.  All three conditions,
-    read for the coordinate x_k being fixed instead of s, bound it, and each
-    bound only tightens as later coordinates lower c, so every level skips
-    what no fibre can use: the first and third give
-    [least M_kj over c_j >= 0, max_j min(c_j + M_kj, M_kj)], and a row i
-    fixed earlier still recomposes only through a column j with
-    c_j == x_i - M_ij <= 0 now, which needs x_k >= c_j + M_kj.  So x_k is at
-    least the least such c_j + M_kj, and a row with no such j ends the
-    branch.  The guard is charged the whole box up front.
+    Each bound only tightens as later coordinates lower c, so a prefix
+    whose lower bound passes hi holds no point and is cut.  The cover bound
+    never passes hi itself, as each threshold, with c_j <= 0, is one of the
+    terms of hi; it cuts the values of x_k below it.  For the fibre
+    axis the three bounds are exact, so its fibre is range(lo, hi + 1), lo
+    the largest lower bound.  Fibres of a tropical polytope along an axis
+    are intervals (Develin and Sturmfels, *Tropical convexity*, 2004).
+
+    The new row needs no test of its own: x_k <= hi gives it a column j
+    with t <= c_j and t <= 0, so k joins the mask of j, and the cover bound
+    keeps a tight column for every row fixed before it.  So the cover is
+    always complete, and no branch ends for want of one.  Each prefix costs
+    one pass over the columns: the pass that fixes x_k = v also reads the
+    next coordinate's bounds off the new c and masks.  The coordinate fixed
+    just before the fibre axis reads each child's fibre in that pass, with
+    no recursive call and no child lists.  The guard is charged the whole
+    box up front.
     """
     return _lattice_points(m, bounding_box(m), resolve_guard(guard))
 
@@ -208,44 +224,64 @@ def _lattice_points(m: TropMatrix, box: tuple, guard: int) -> set:
     for lo, hi in box:
         size *= hi - lo + 1
     check_guard(size, guard, "bounding box scan")
+    if m.rows == 1:
+        return {(s,) for s in range(box[0][0], box[0][1] + 1)}
     rows = m.entries
     a = max(range(m.rows), key=lambda i: box[i][1] - box[i][0])
-    others = [i for i in range(m.rows) if i != a]
-    order = others + [a]
+    order = [rows[i] for i in range(m.rows) if i != a] + [rows[a]]
+    last = m.rows - 2  # the level of the coordinate fixed just before x_a
     pts = set()
     inf = float("inf")
 
-    def sweep(c, xs):
-        row = rows[order[len(xs)]]
-        hi, lo = -inf, inf
-        for cj, e in zip(c, row):
-            if cj < 0:
-                if cj + e > hi:
-                    hi = cj + e
+    def sweep(level, c, masks, lo, hi, xs):
+        row, nxt = order[level], order[level + 1]
+        bit = 1 << level
+        full = 2 * bit - 1  # the rows fixed up to this level
+        inner = level < last
+        for v in range(lo, hi + 1):
+            if inner:
+                cs, ms = [], []
+            top, low = -inf, inf
+            tight = []  # (threshold, mask) of the columns with a tight row
+            for cj, mj, e, f in zip(c, masks, row, nxt):
+                t = v - e
+                if t < cj:
+                    cj = t
+                    mj = bit if t <= 0 else 0
+                elif t == cj <= 0:
+                    mj |= bit
+                if inner:
+                    cs.append(cj)
+                    ms.append(mj)
+                if cj < 0:
+                    f += cj
+                    if f > top:
+                        top = f
+                else:
+                    if f > top:
+                        top = f
+                    if f < low:
+                        low = f
+                if mj:
+                    tight.append((f, mj))
+            if low > top:
+                continue
+            cover = 0
+            for need, mj in sorted(tight):
+                cover |= mj
+                if cover == full:
+                    break
+            if need > low:
+                low = need
+            if inner:
+                sweep(level + 1, cs, ms, low, top, xs + (v,))
             else:
-                if e > hi:
-                    hi = e
-                if e < lo:
-                    lo = e
-        if lo > hi:
-            return
-        for i, xi in zip(others, xs):
-            need = inf
-            for cj, e, mij in zip(c, row, rows[i]):
-                if cj == xi - mij <= 0 and cj + e < need:
-                    need = cj + e
-            if need > lo:
-                lo = need
-                if lo > hi:
-                    return
-        if len(xs) < len(others):
-            for xk in range(lo, hi + 1):
-                sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
-            return
-        head, tail = xs[:a], xs[a:]
-        pts.update(head + (s,) + tail for s in range(lo, hi + 1))
+                p = xs + (v,)
+                head, tail = p[:a], p[a:]
+                pts.update(head + (s,) + tail for s in range(low, top + 1))
 
-    sweep([inf] * m.cols, ())
+    first = order[0]
+    sweep(0, [inf] * m.cols, [0] * m.cols, min(first), max(first), ())
     return pts
 
 

@@ -438,10 +438,14 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
     tlvol comes three ways: the Hungarian subset sweep, the triangulation,
     and the volume report's reading of its column subset table.  The table
     itself, a dynamic programme over column sets, is compared entry by entry
-    with the permutation expansion of each subset (_best_two_brute).
+    with the permutation expansion of each subset (_best_two_brute), on the
+    case's matrix and on a second one per case with about 15% -inf entries
+    and d to d + 2 columns, square ones among them.  The second matrices
+    come from a stream of their own, so the cases stay those of the seed.
     """
     res = SuiteResult("cross-volume")
     rng = random.Random(seed)
+    inf_rng = random.Random(f"cross-volume/{seed}")
     for _ in range(cases):
         res.cases += 1
         m = _rand_matrix(rng, lo=0, hi=4, max_rows=3, max_cols=5)
@@ -455,12 +459,17 @@ def suite_cross_volume(seed=0, cases=100) -> SuiteResult:
         )
         # The report's route, without the report's own triangulation.
         table = _column_subset_table(m) if m.cols > m.rows else None
-        for js, entry in (table or {}).items():
-            want = _best_two_brute(m, js)
-            res.check(
-                entry == want,
-                f"subset table {entry!r} != expansion {want!r} at {js} on {m.entries}",
-            )
+        rows = inf_rng.randint(1, 3)
+        with_inf = _rand_matrix(
+            inf_rng, d=rows, m=inf_rng.randint(rows, rows + 2), minus_inf_chance=0.15
+        )
+        for mt, entries in ((m, table or {}), (with_inf, _column_subset_table(with_inf))):
+            for js, entry in entries.items():
+                want = _best_two_brute(mt, js)
+                res.check(
+                    entry == want,
+                    f"subset table {entry!r} != expansion {want!r} at {js} on {mt.entries}",
+                )
         rep = _tlvol_from_table(m, table)
         res.check(
             rep == sub,

@@ -227,6 +227,100 @@ def test_lattice_points_match_box_scan_oracle():
     assert min(seen.values()) >= 20, seen
 
 
+def _lattice_points_nested(m, seen=None):
+    """Oracle: the lattice sweep that tests every fixed row against every
+    column at each prefix, O(n * L) steps at level L.
+
+    Same fibre axis, coordinate order and bounds as lattice_points, with
+    the rows' lower bounds read one fixed row at a time.  seen, a Counter,
+    counts the values of a coordinate cut because a fixed row would lose
+    every tight column ("fixed-row cut"), and the columns where a new
+    coordinate ties a prefix minimum that is <= 0 ("tie", the step that
+    adds a row to a column's mask).
+    """
+    box = bounding_box(m)
+    rows = m.entries
+    a = max(range(m.rows), key=lambda i: box[i][1] - box[i][0])
+    others = [i for i in range(m.rows) if i != a]
+    order = others + [a]
+    pts = set()
+    inf = float("inf")
+    seen = Counter() if seen is None else seen
+
+    def sweep(c, xs):
+        row = rows[order[len(xs)]]
+        hi, lo = -inf, inf
+        for cj, e in zip(c, row):
+            if cj < 0:
+                if cj + e > hi:
+                    hi = cj + e
+            else:
+                if e > hi:
+                    hi = e
+                if e < lo:
+                    lo = e
+        if lo > hi:
+            return
+        for i, xi in zip(others, xs):
+            need = inf
+            for cj, e, mij in zip(c, row, rows[i]):
+                if cj == xi - mij <= 0 and cj + e < need:
+                    need = cj + e
+            if need > lo:
+                seen["fixed-row cut"] += need - lo
+                lo = need
+                if lo > hi:
+                    return
+        if len(xs) < len(others):
+            for xk in range(lo, hi + 1):
+                seen["tie"] += sum(xk - e == cj <= 0 for cj, e in zip(c, row))
+                sweep([min(cj, xk - e) for cj, e in zip(c, row)], xs + (xk,))
+            return
+        head, tail = xs[:a], xs[a:]
+        pts.update(head + (s,) + tail for s in range(lo, hi + 1))
+
+    sweep([inf] * m.cols, ())
+    return pts
+
+
+def _d_family(d):
+    """The seeded d x (d + 2) input of each dimension d: entries in 0..2 up
+    to d = 6 and in 0..1 above."""
+    rng = random.Random(d)
+    return TropMatrix.from_rows(
+        [[rng.randint(0, 2 if d <= 6 else 1) for _ in range(d + 2)] for _ in range(d)]
+    )
+
+
+def _nested_cases():
+    """Seeded windows of width 0..2, most with 5-7 rows and some with 1-4,
+    a third of them with negative entries, then the 4x6 reference inputs
+    and the d x (d + 2) family: inputs whose boxes are too large for the
+    box oracle, or many of them."""
+    rng = random.Random(3214)
+    for _ in range(240):
+        d = rng.choice((1, 2, 3, 4, 5, 5, 6, 6, 7, 7))
+        n = rng.randint(1, d + 3)
+        lo = rng.randint(-4, -1) if rng.random() < 1 / 3 else 0
+        span = rng.randint(0, 2)
+        yield TropMatrix.from_rows([[rng.randint(lo, lo + span) for _ in range(n)] for _ in range(d)])
+    yield from (_reference_4x6(seed) for seed in (2, 3, 4))
+    yield from (_d_family(d) for d in range(4, 10))
+
+
+def test_lattice_points_match_the_nested_sweep():
+    seen = Counter()
+    for m in _nested_cases():
+        assert lattice_points(m, guard=10**9) == _lattice_points_nested(m, seen), m.entries
+        seen["five to seven rows"] += 5 <= m.rows <= 7
+        seen["negative"] += not m.is_nonnegative()
+        seen["d = 1"] += m.rows == 1
+        seen["n = 1"] += m.cols == 1
+        seen["n < d"] += m.cols < m.rows
+    assert seen["five to seven rows"] >= 100, seen
+    assert min(seen.values()) >= 20, seen
+
+
 def test_bounding_box_requires_lattice_input():
     with pytest.raises(ValidationError):
         bounding_box(cube(2))  # -inf entries

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,33 @@ def test_counting_suites_triangulate_each_matrix_once(
     result = run_suites(names=[name], seed=0, cases=10)[0]
     assert result.passed
     assert len(calls) <= per_case * result.cases
+
+
+def test_cross_volume_compares_the_table_on_minus_inf_entries(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Each case adds a matrix with about 15% -inf entries and d to d + 2
+    # columns to the table's comparison with the expansion, so a table that
+    # reads -inf as 0, or errs only on square inputs, fails the suite.
+    met = Counter()
+    original = checks._best_two_brute
+
+    def counting(m, js):
+        want = original(m, js)
+        met["subsets"] += 1
+        met["-inf entries"] += sum(row[j] is None for row in m.entries for j in js)
+        met["subsets with a -inf entry"] += any(row[j] is None for row in m.entries for j in js)
+        met["no finite term"] += want[0] is None
+        met["square"] += m.cols == m.rows
+        return want
+
+    monkeypatch.setattr(checks, "_best_two_brute", counting)
+    result = run_suites(names=["cross-volume"], seed=0, cases=100)[0]
+    assert result.passed
+    # seed 0 met 620 subsets, 291 -inf entries in 186 of them, 6 without a
+    # finite term, and 41 square inputs
+    assert met["-inf entries"] >= 200 and met["subsets with a -inf entry"] >= 100, met
+    assert met["square"] >= 20 and met["no finite term"] >= 3, met
 
 
 @pytest.mark.parametrize("seed", [2, 3])
