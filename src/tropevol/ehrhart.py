@@ -86,7 +86,7 @@ from .cells import AlcovedSimplex, CellComplex, ambient_dim, as_complex
 from .core import TropMatrix, check_base, format_entry
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .guard import BoundedTable, check_guard, resolve_guard
-from .ratpoly import lagrange_interpolate, poly_degree, poly_eval
+from .ratpoly import divided_differences, newton_eval, poly_eval
 
 
 @dataclass(frozen=True)
@@ -713,6 +713,7 @@ def reciprocity_check(arg, b: int, guard: int | None = None) -> bool:
     cells but its interior counts break the sign pattern at the branch
     vertex, so such inputs are rejected rather than reported as False.
     """
+    check_base(b)
     guard = resolve_guard(guard)
     complex_ = counting_complex(arg, guard)
     if not complex_.is_pure() or complex_.dim != complex_.ambient_dim:
@@ -732,23 +733,25 @@ def log_map(samples: Sequence[tuple], degree_bound: int) -> Optional[int]:
 
     samples are (b, value) pairs of one polynomial of degree <= degree_bound;
     at least degree_bound + 1 of them are required, extras must be consistent.
+    The degree is the index of the last nonzero divided difference of the
+    first degree_bound + 1 samples; the extras are checked against their
+    Newton form.
     """
-    if degree_bound < 0:
+    if _negative(degree_bound):
         raise ValidationError("degree bound must be nonnegative")
+    _check_exponent(degree_bound, "degree bound")
     if len(samples) < degree_bound + 1:
         raise ValidationError(
             f"need at least {degree_bound + 1} samples, got {len(samples)}"
         )
-    head = samples[: degree_bound + 1]
-    coeffs = lagrange_interpolate(head)
-    for bval, val in samples:
-        if poly_eval(coeffs, Fraction(bval)) != Fraction(val):
+    xs, dd = divided_differences(samples[: degree_bound + 1])
+    for bval, val in samples[degree_bound + 1:]:
+        if newton_eval(xs, dd, Fraction(bval)) != Fraction(val):
             raise ValidationError(
                 f"samples are not polynomial of degree <= {degree_bound} "
                 f"(residual at b={bval})"
             )
-    deg = poly_degree(coeffs)
-    return None if deg < 0 else deg
+    return next((k for k in range(degree_bound, -1, -1) if dd[k] != 0), None)
 
 
 def log_degree_bound(arg) -> int:

@@ -4,7 +4,11 @@ The tropical determinant of a square matrix is the optimal assignment value
 max_sigma sum_i A[i][sigma(i)], with forbidden (-inf) cells.  It is computed
 by a shortest-augmenting-path Hungarian method that also returns dual vectors
 u, v with A[i][j] <= u_i + v_j and equality on the optimal matching; the duals
-certify optimality.  Brute-force enumerations are kept for the signed
+certify optimality.  They also decide nonsingularity: every optimal
+assignment has value sum u + sum v, so each of its cells is tight
+(A[i][j] == u_i + v_j), and sigma is the only one iff the tight cells off
+sigma, drawn as edges between the rows they rematch, hold no directed cycle
+(_nonsingular_given).  Brute-force enumerations are kept for the signed
 bideterminant, which is defined through the explicit permutation expansion,
 and double as oracles in the tests.
 
@@ -24,6 +28,7 @@ functionals at any size and is the independent oracle for the table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -208,60 +213,32 @@ def _parity(sigma: Sequence[int]) -> int:
     return parity
 
 
-def _tight_graph(a: TropMatrix, u: Sequence, v: Sequence):
-    """Cells where the dual inequality is tight: candidates for optimal matchings."""
-    n = a.rows
-    return [
-        [a.entries[i][j] is not None and a.entries[i][j] == u[i] + v[j] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _unique_perfect_matching(adj) -> bool:
-    """Leaf removal: a bipartite graph with a perfect matching has a unique one
-    iff rows/columns of degree 1 can be peeled until nothing is left."""
-    n = len(adj)
-    alive_r = [True] * n
-    alive_c = [True] * n
-    deg_r = [sum(row) for row in adj]
-    deg_c = [sum(adj[i][j] for i in range(n)) for j in range(n)]
-    removed = 0
-    progress = True
-    while progress:
-        progress = False
-        for i in range(n):
-            if alive_r[i] and deg_r[i] == 1:
-                j = next(jj for jj in range(n) if alive_c[jj] and adj[i][jj])
-                _peel(adj, alive_r, alive_c, deg_r, deg_c, i, j)
-                removed += 1
-                progress = True
-        for j in range(n):
-            if alive_c[j] and deg_c[j] == 1:
-                i = next(ii for ii in range(n) if alive_r[ii] and adj[ii][j])
-                _peel(adj, alive_r, alive_c, deg_r, deg_c, i, j)
-                removed += 1
-                progress = True
-    return removed == n
-
-
-def _peel(adj, alive_r, alive_c, deg_r, deg_c, i, j):
-    alive_r[i] = False
-    alive_c[j] = False
-    for jj in range(len(adj)):
-        if alive_c[jj] and adj[i][jj]:
-            deg_c[jj] -= 1
-    for ii in range(len(adj)):
-        if alive_r[ii] and adj[ii][j]:
-            deg_r[ii] -= 1
-    deg_r[i] = 0
-    deg_c[j] = 0
-
-
 def _nonsingular_given(a: TropMatrix, res: AssignmentResult) -> bool:
-    """is_nonsingular for a matrix whose assignment res = tdet(a) is solved."""
+    """is_nonsingular for a matrix whose assignment res = tdet(a) is solved.
+
+    An optimal assignment sums to sum u + sum v, and each of its cells is at
+    most u_i + v_j, so all its cells are tight.  A second one rotates sigma
+    along directed cycles of the digraph with an edge from row i to the row
+    on column j for each tight (i, j) off sigma, and each such cycle gives
+    one.  So sigma is unique iff a topological sort (Kahn) frees every row.
+    """
     if res.value is None:
         return False
-    return _unique_perfect_matching(_tight_graph(a, res.u, res.v))
+    sigma, u, v = res.sigma, res.u, res.v
+    row_of = {j: i for i, j in enumerate(sigma)}
+    succ = [
+        [row_of[j] for j, e in enumerate(row)
+         if e is not None and j != sigma[i] and e == u[i] + v[j]]
+        for i, row in enumerate(a.entries)
+    ]
+    indegree = Counter(r for targets in succ for r in targets)
+    order = [i for i in range(len(sigma)) if not indegree[i]]
+    for i in order:  # order grows as rows are freed
+        for r in succ[i]:
+            indegree[r] -= 1
+            if not indegree[r]:
+                order.append(r)
+    return len(order) == len(sigma)
 
 
 def is_nonsingular(a: TropMatrix) -> bool:

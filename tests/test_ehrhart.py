@@ -294,6 +294,69 @@ def test_log_map():
     assert log_map([(b, Fraction(1, 2)) for b in range(2, 9)], 3) == 0
     with pytest.raises(ValidationError):
         log_map([(b, Fraction(1, b)) for b in range(2, 9)], 3)
+    # the bound follows the exponent rule; a negative one keeps its message
+    assert str(_raised(log_map, samples, -1)) == "degree bound must be nonnegative"
+    for bad in (True, False, 1.5, 3.0, "3", None):
+        message = f"degree bound must be a nonnegative integer, got {bad!r}"
+        assert str(_raised(log_map, [(2, 1), (3, 1)], bad)) == message
+
+
+def _log_map_by_expansion(samples, degree_bound):
+    """The expansion route, kept as an oracle: the monomial coefficients of
+    the interpolant of the first degree_bound + 1 samples, evaluated at every
+    sample, and the index of the last nonzero coefficient."""
+    if degree_bound < 0:
+        raise ValidationError("degree bound must be nonnegative")
+    if len(samples) < degree_bound + 1:
+        raise ValidationError(f"need at least {degree_bound + 1} samples, got {len(samples)}")
+    coeffs = lagrange_interpolate(samples[: degree_bound + 1])
+    for bval, val in samples:
+        if poly_eval(coeffs, Fraction(bval)) != Fraction(val):
+            raise ValidationError(
+                f"samples are not polynomial of degree <= {degree_bound} (residual at b={bval})"
+            )
+    return max((i for i, c in enumerate(coeffs) if c != 0), default=None)
+
+
+def _log_map_outcome(call, samples, degree_bound):
+    try:
+        return call(samples, degree_bound)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_log_map_matches_the_expansion_route_on_seeded_samples():
+    # Values and error texts alike, on integer and Fraction bases, with
+    # consistent and perturbed extras, duplicate head nodes and polynomials
+    # whose top coefficients vanish.
+    rng = random.Random(1908)
+    kinds = collections.Counter()
+    for _ in range(1500):
+        bound = rng.randint(0, 8)
+        kind = rng.choice(("consecutive", "int", "fraction"))
+        n = bound + 1 + rng.randint(0, 3)
+        if kind == "consecutive":
+            xs = list(range(2, n + 2))
+        else:
+            xs = [Fraction(x) for x in _seeded_nodes(rng, "int" if kind == "int" else "fraction", n)]
+        degree = rng.randint(-1, bound)
+        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(degree + 1)]
+        samples = [(x, poly_eval(poly, x)) for x in xs]
+        if n > bound + 1 and rng.random() < 0.4:
+            at = rng.randrange(bound + 1, n)
+            samples[at] = (samples[at][0], samples[at][1] + rng.choice((1, Fraction(1, 7))))
+            kinds["perturbed extra"] += 1
+        elif n > bound + 1:
+            kinds["consistent extras"] += 1
+        if bound > 0 and rng.random() < 0.15:
+            i, j = rng.sample(range(bound + 1), 2)
+            samples[i] = (samples[j][0], samples[i][1])
+            kinds["duplicate head node"] += 1
+        want = _log_map_outcome(_log_map_by_expansion, samples, bound)
+        assert _log_map_outcome(log_map, samples, bound) == want, (samples, bound)
+        kinds["error" if isinstance(want, str) else "value"] += 1
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _seeded_nodes(rng, kind, n):
@@ -351,6 +414,8 @@ def test_coefficient_routes_check_b_and_the_index_before_triangulating(monkeypat
     for arg in (fix_l(4), cx):
         for bad_b in (1, True, 2.0):
             assert str(_raised(coefficient_in_b, arg, 0, bad_b)).startswith("base must be")
+            assert str(_raised(reciprocity_check, arg, bad_b)).startswith("base must be")
+            assert str(_raised(reciprocity_check, arg, bad_b, 1)).startswith("base must be")
         for bad_i in (True, False, -1, 3, 9, 1.0, "1", None):
             message = f"coefficient index {bad_i} out of range"
             assert str(_raised(coefficient_in_b, arg, bad_i, 2, 1)) == message

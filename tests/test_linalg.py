@@ -17,6 +17,7 @@ from tropevol.linalg import (
     UNIQUE_GAP,
     _column_subset_table,
     _expansion_terms,
+    _nonsingular_given,
     bideterminant,
     is_nonsingular,
     is_nonsingular_brute,
@@ -194,6 +195,47 @@ def test_tvol_max_sub():
 @settings(max_examples=100, deadline=None)
 def test_nonsingularity_matches_brute_force(m):
     assert is_nonsingular(m) == is_nonsingular_brute(m)
+
+
+def _nonsingular_cases(rng):
+    """Seeded square matrices, n = 1..8, entries 0..3 or 0..6 with 0-50% -inf
+    cells; a quarter of them copy one column over another."""
+    for n, count in ((1, 60), (2, 300), (3, 400), (4, 500), (5, 700), (6, 500), (7, 20), (8, 6)):
+        for _ in range(count):
+            share = rng.choice((0, 0.1, 0.2, 0.3, 0.4, 0.5))
+            top = rng.choice((3, 6))
+            rows = [[None if rng.random() < share else rng.randint(0, top) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                src, dst = rng.sample(range(n), 2)
+                for row in rows:
+                    row[dst] = row[src]
+            yield TropMatrix.from_rows(rows, allow_minus_inf_columns=True)
+
+
+def test_nonsingular_cycle_test_matches_brute_force_on_seeded_matrices():
+    # The acyclicity test on the tight graph against the full expansion.
+    # Floors: singular matrices with a finite value, among them some whose
+    # shortest tight cycle has length >= 3 (every second optimal assignment
+    # moves at least three rows), and optimal assignments off the identity.
+    kinds = dict.fromkeys(("singular finite", "cycle >= 3", "sigma off identity", "nonsingular"), 0)
+    for m in _nonsingular_cases(random.Random(1986)):
+        res = tdet(m)
+        got = _nonsingular_given(m, res)
+        assert got == is_nonsingular_brute(m), m.entries
+        if res.value is None:
+            continue
+        if res.sigma != tuple(range(m.rows)):
+            kinds["sigma off identity"] += 1
+        if got:
+            kinds["nonsingular"] += 1
+            continue
+        kinds["singular finite"] += 1
+        optimal = [s for s, t in _expansion_terms(m.entries, range(m.rows), "oracle") if t == res.value]
+        moved = min(sum(a != b for a, b in zip(s, res.sigma)) for s in optimal if s != res.sigma)
+        if moved >= 3:
+            kinds["cycle >= 3"] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_nonsingular_examples():

@@ -28,6 +28,7 @@ from tropevol.core import (
     min_subset_sum,
     tadd,
 )
+from tropevol.checks import suite_conjecture
 from tropevol.ehrhart import log_coefficient
 from tropevol.errors import CrossCheckError, GuardExceeded, ValidationError
 from tropevol.fixtures import (
@@ -494,6 +495,17 @@ def test_report_never_interpolates(monkeypatch: pytest.MonkeyPatch) -> None:
                 continue
             build_volume_report(m, method)
             assert calls == [], (m.entries, method)
+
+
+def test_sampled_degrees_never_interpolate(monkeypatch: pytest.MonkeyPatch) -> None:
+    # log_map reads a degree off divided differences; the monomial expansion
+    # of lagrange_interpolate is left to the tests
+    calls = _count_calls(monkeypatch, lagrange_interpolate)
+    for m in (fix_l(4), fix_tri(3, 0), alcove_simplex((1, 2))):
+        for i in range(m.rows + 1):
+            log_coefficient(m, i)
+    assert suite_conjecture(seed=0, cases=4).cases == 8
+    assert calls == []
 
 
 def test_discrete_surface_matches_sampled_log_coefficient() -> None:
