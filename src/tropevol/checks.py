@@ -646,11 +646,60 @@ def _random_rotation_signed(rng, d, i, plus=True):
     return ScaledPermutationMatrix(tuple(sigma), tuple(z))
 
 
+def _log_map_outcome(samples, bound):
+    """log_map's degree, or the name of the exception it raises.
+
+    A repeated node divides by zero once the distinct-node check is gone, so
+    ArithmeticError is an outcome too, not a crash of the suite.
+    """
+    try:
+        return log_map(samples, bound)
+    except (ValidationError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def _check_log_map(res: SuiteResult, rng) -> None:
+    """log_map on an integer polynomial of known degree k <= bound, sampled at
+    bound + 3 distinct bases: the degree (None for the zero polynomial), one
+    extra sample off by 1, and a base repeated among the interpolation nodes."""
+    bound = rng.randint(1, 6)
+    k = rng.randint(-1, bound)  # -1 draws the zero polynomial
+    top = [rng.choice((-2, -1, 1, 2))] if k >= 0 else []
+    coeffs = [rng.randint(-3, 3) for _ in range(k)] + top
+    bases = rng.sample(range(2, 3 * bound + 9), bound + 3)
+    samples = [(b, sum(c * b**e for e, c in enumerate(coeffs))) for b in bases]
+    got = _log_map_outcome(samples, bound)
+    res.check(
+        got == (k if k >= 0 else None),
+        f"log_map gives {got} for degree {k} (bound {bound}) on {samples}",
+    )
+    off = list(samples)
+    j = rng.randint(bound + 1, bound + 2)
+    off[j] = (off[j][0], off[j][1] + 1)
+    got = _log_map_outcome(off, bound)
+    res.check(
+        got == "ValidationError",
+        f"log_map gives {got} with extra sample {j} off by 1 on {off}",
+    )
+    dup = list(samples)
+    j = rng.randint(1, bound)
+    dup[j] = (dup[rng.randrange(j)][0], dup[j][1])
+    got = _log_map_outcome(dup, bound)
+    res.check(
+        got == "ValidationError",
+        f"log_map gives {got} with base {dup[j][0]} repeated on {dup}",
+    )
+
+
 def suite_volume_properties(seed=0, cases=50) -> SuiteResult:
     res = SuiteResult("volume-properties")
     rng = random.Random(seed)
+    # log_map's cases draw from their own stream, so the matrices stay those
+    # of the seed
+    log_rng = random.Random(f"volume-properties/log-map/{seed}")
     for _ in range(cases):
         res.cases += 1
+        _check_log_map(res, log_rng)
         m = _rand_matrix(rng, lo=0, hi=4, max_rows=3, max_cols=4)
         d = m.rows
         # homogeneity under translation by an integer scalar

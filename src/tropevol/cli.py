@@ -12,6 +12,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -72,14 +74,25 @@ def _load_matrix(args) -> TropMatrix:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {out}: {exc}")
-    else:
+    """Write text to stdout, or to the file out (an empty path is an error).
+
+    out is opened without truncating it, written in place and then cut to
+    the new length.  A truncate to zero first would cost a forced writeback:
+    on ext4 with auto_da_alloc (the default), closing a file that was
+    truncated to zero and rewritten flushes its data to disk.  Only a regular
+    file can be cut; /dev/null, FIFOs and ttys are written as a stream.
+    """
+    if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}")
 
 
 def _render_json(obj) -> str:

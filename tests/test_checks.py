@@ -86,6 +86,38 @@ def test_volume_properties_triangulates_each_matrix_once(
 
 
 @pytest.mark.parametrize(
+    "fault, kind",
+    [
+        ("top difference ignored", "for degree"),
+        ("extras skipped", "off by 1"),
+        ("repeated node divides by zero", "repeated"),
+    ],
+)
+def test_volume_properties_catches_a_faulty_log_map(
+    monkeypatch: pytest.MonkeyPatch, fault: str, kind: str
+) -> None:
+    # the suite's own polynomials reach log_map's top divided difference, its
+    # extras check and its distinct-node check; the other suites never do
+    real = checks.log_map
+
+    def faulty(samples, bound):
+        if fault == "extras skipped":
+            return real(samples[: bound + 1], bound)
+        if fault == "repeated node divides by zero":
+            if len({b for b, _ in samples[: bound + 1]}) <= bound:
+                raise ZeroDivisionError("division by zero")
+            return real(samples, bound)
+        degree = real(samples, bound)
+        return bound - 1 if degree == bound else degree
+
+    monkeypatch.setattr(checks, "log_map", faulty)
+    result = run_suites(names=["volume-properties"], seed=0)[0]
+    *shown, suppressed = result.failures
+    assert suppressed == "... more failures suppressed"
+    assert all(msg.startswith("log_map gives ") and kind in msg for msg in shown)
+
+
+@pytest.mark.parametrize(
     "name, per_case",
     [
         # the matrix, plus its translates at b = 2 and b = 3 (before: 8)

@@ -12,8 +12,10 @@ import inspect
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,70 @@ def test_volume_out_file(tmp_path: Path) -> None:
     assert proc.returncode == 0
     reference = _run("volume", "--fixture", "L", "--l", "4")
     assert target.read_text() == reference.stdout
+
+
+# one short report of each command, for the --out tests below
+OUT_COMMANDS = {
+    "volume": ["volume", "--fixture", "L", "--l", "4"],
+    "ehrhart": ["ehrhart", "--fixture", "L", "--l", "4"],
+    "check": ["check", "--suite", "kleene", "--cases", "5"],
+    "plot": ["plot", "--fixture", "L"],
+}
+
+
+def _stdout_bytes(*args: str) -> bytes:
+    # undecoded, unlike _run: newline translation would hide a byte difference
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropevol.cli", *args], capture_output=True, check=True
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_overwrites_a_longer_file_in_place(
+    tmp_path: Path, capsys: pytest.CaptureFixture, command: str
+) -> None:
+    # the report is written over the old bytes and the file cut to its length
+    args = OUT_COMMANDS[command]
+    target = tmp_path / "report"
+    target.write_bytes(b"x" * 65536)
+    assert cli.main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == _stdout_bytes(*args)
+
+
+@pytest.mark.parametrize("command", ["volume", "ehrhart"])
+def test_out_to_the_null_device(capsys: pytest.CaptureFixture, command: str) -> None:
+    # the null device cannot be cut to length; it is written as a stream
+    assert cli.main([*OUT_COMMANDS[command], "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_out_to_a_fifo_streams_the_report(tmp_path: Path) -> None:
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    assert cli.main([*OUT_COMMANDS["volume"], "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [_stdout_bytes(*OUT_COMMANDS["volume"])]
+
+
+def test_out_creates_a_file_with_the_mode_open_would_give(tmp_path: Path) -> None:
+    old = os.umask(0o027)
+    try:
+        assert cli.main([*OUT_COMMANDS["volume"], "--out", str(tmp_path / "new")]) == 0
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
 
 
 def test_volume_from_input_file(tmp_path: Path) -> None:
@@ -503,6 +569,8 @@ def test_malformed_matrix_json_exits_two(tmp_path: Path, text: str, stderr: str)
             "out in a missing directory",
             "error: cannot write {out}: [Errno 2] No such file or directory: '{out}'",
         ),
+        # an unset shell variable passed as --out "$OUT"
+        ("out empty", "error: cannot write : [Errno 2] No such file or directory: ''"),
     ],
 )
 def test_unreadable_input_and_unwritable_out_exit_two(
@@ -514,6 +582,7 @@ def test_unreadable_input_and_unwritable_out_exit_two(
         "input not utf-8": tmp_path / "report.json",
         "out a directory": tmp_path,
         "out in a missing directory": tmp_path / "missing" / "report.json",
+        "out empty": "",
     }[case]
     if case == "input not utf-8":
         source.write_bytes(b'\xff{"rows": 1, "cols": 1, "entries": [[0]]}')
