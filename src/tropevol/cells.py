@@ -28,11 +28,15 @@ kept across calls, in a table capped at PATTERN_TABLE_CAP patterns, and a
 pattern seen on any earlier matrix is not walked again.  The tables the
 counting and volume layers need (exponent tuples, the largest cell at each
 vertex, facet cover counts, the Euler characteristic, the bases of the top
-cells) are read off the shapes.  A block's exponent is the smallest
-coordinate of the point on it, so each pattern keeps, per dimension, one
-operator.itemgetter over the block masks of all its chains, which reads
-every block minimum of a point out of that point's table of minima in one C
-call.  AlcovedSimplex objects are built only when a caller
+cells) are read off the shapes.  A facet's cover count is pulled: the
+covers based at its own base are a constant of that base's pattern
+(ChainShapes.cover_plan), and the one other cover, a chain based one step
+below, is a single lookup.  Pushing every top cell's facets into a table
+is left to the tests, as the oracle of the pull.  A block's exponent is
+the smallest coordinate of the point on it, so each pattern keeps, per
+dimension, one operator.itemgetter over the block masks of all its chains,
+which reads every block minimum of a point out of that point's table of
+minima in one C call.  AlcovedSimplex objects are built only when a caller
 asks for CellComplex.cells, because only the cell-by-cell consumers need
 them (the interior and purity tests, the plot, the self-checks and the
 oracles) and building them costs about as much as the walk itself.
@@ -58,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, mul, or_
+from operator import add, itemgetter, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .core import TropMatrix, contains
@@ -331,17 +335,20 @@ class ChainShapes:
     largest dimension present.  Points with the same cube pattern share one
     instance, in every complex of the process (see _pattern_shapes), so the
     tables cached here are built once per pattern.  Nothing here depends on
-    the point, and nothing cached here is mutable.  Exponents do depend on
+    the point, and no table cached here changes once made.  Exponents depend on
     the point, so the shapes keep, for each dimension k >= 1, one getter
     (minima_getters) that reads the exponents of every k-chain at once out
-    of a point's table of minima.
+    of a point's table of minima.  The list given has one entry per
+    dimension 0..d, so its length fixes the ambient dimension d.
     """
 
     def __init__(self, by_dim: list):
+        self.ambient_dim = len(by_dim) - 1
         while by_dim and not by_dim[-1]:
             by_dim.pop()
         self.by_dim = tuple(map(tuple, by_dim))
         self.size = sum(map(len, by_dim))
+        self._cover_plans = {}  # k -> cover_plan(k)
 
     @cached_property
     def unions(self) -> tuple:
@@ -377,24 +384,54 @@ class ChainShapes:
         return tuple(out.items())
 
     @cached_property
-    def inner_facets(self) -> tuple:
-        """The facets of the chains of the largest dimension here that keep the base.
+    def top_chains(self) -> frozenset:
+        """The chains of the largest dimension here, as a set."""
+        return frozenset(self.by_dim[-1])
 
-        Dropping vertex l of a chain with blocks B_1..B_m drops B_m for
-        l = m and merges B_l and B_(l+1) for 0 < l < m.
+    def cover_plan(self, k: int) -> tuple:
+        """(here, below) for each (k-1)-chain here, in by_dim order, k <= len(by_dim).
+
+        A k-cell with the chain B_1..B_(k-1) as a facet has one vertex more.
+        Past the base, it splits a block B_l into (X, B_l minus X), or it
+        appends a block Y off the union U of the blocks; such a cell is based
+        here, and here counts those present.  Below the base, it is the chain
+        (Y, B_1, ...) based at p - 1_Y, for Y nonempty and off U; below lists
+        each such (Y, chain), for the caller to look up at that base.  At
+        k = d the blocks either cover [d], so one block has two coordinates,
+        its two splits are the candidates and below is empty, or they miss
+        one coordinate c, and the candidates are ({c}) appended here and
+        ({c}, B_1, ...) at p - 1_c.  The plan depends on the shapes alone,
+        so it is made once per pattern and k.
         """
-        return tuple(
-            facet
-            for b in self.by_dim[-1]
-            for facet in (
-                b[:-1],
-                *(b[:l - 1] + (b[l - 1] | b[l],) + b[l + 1:] for l in range(1, len(b))),
-            )
-        )
+        plan = self._cover_plans.get(k)
+        if plan is not None:
+            return plan
+        full = (1 << self.ambient_dim) - 1
+        plan = []
+        for blocks in self.by_dim[k - 1]:
+            off = full ^ functools.reduce(or_, blocks, 0)
+            offs = list(_submasks(off))
+            here = [blocks + (Y,) for Y in offs]
+            for l, B in enumerate(blocks):
+                here += [blocks[:l] + (X, B ^ X) + blocks[l + 1:] for X in _submasks(B) if X != B]
+            plan.append((
+                sum(chain in self.top_chains for chain in here),
+                tuple((Y, (Y,) + blocks) for Y in offs),
+            ))
+        plan = self._cover_plans[k] = tuple(plan)
+        return plan
 
     @cached_property
     def euler(self) -> int:
         return sum((-1) ** k * len(chains) for k, chains in enumerate(self.by_dim))
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """The nonempty submasks of mask, largest first."""
+    part = mask
+    while part:
+        yield part
+        part = (part - 1) & mask
 
 
 # Most cube patterns kept across calls.  An entry with its cached tables
@@ -459,7 +496,10 @@ class CellComplex:
     shapes maps each base point, in sorted order, to the ChainShapes of the
     cells based there.  The tables the counting and volume layers read (the
     exponent tally, the vertex table, the cover counts, the Euler
-    characteristic, the bases of the top cells) come off the shapes.  cells
+    characteristic, the bases of the top cells) come off the shapes.  Cover
+    counts are pulled per facet (_cover_counts): its pattern's plan gives
+    the covers at its base, and each cover below is a chain looked up in
+    the shapes of its base, so they hold for a complex of any cells.  cells
     builds the AlcovedSimplex objects on first use, for the callers that
     walk cells one by one: by_dim, is_pure, interior_cells, the plot and
     the self-checks.
@@ -566,31 +606,36 @@ class CellComplex:
                     out[v] = k
         return dict(sorted(out.items()))
 
+    def _cover_counts(self, p: tuple, sh: ChainShapes, k: int) -> list:
+        """How many k-cells have each (k-1)-chain at p as a facet, in by_dim order.
+
+        The count of the cells based at p comes with the chain's plan
+        (ChainShapes.cover_plan); each cell based below p is looked up as a
+        chain in the shapes at its base.  Chain membership, not the presence
+        of the base, decides, so the count holds for a complex of any cells.
+        """
+        shapes = self.shapes
+        units = _units(self.ambient_dim)
+        out = []
+        for n, below in sh.cover_plan(k):
+            for Y, chain in below:
+                other = shapes.get(tuple(map(sub, p, units[Y])))
+                if other is not None and chain in other.top_chains:
+                    n += 1
+            out.append(n)
+        return out
+
     @cached_property
     def _facet_covers(self) -> dict:
-        """(base, blocks) of each (dim-1)-cell -> how many dim-cells have it as a facet.
-
-        Dropping a vertex other than the base keeps the base (see
-        ChainShapes.inner_facets); dropping the base leaves B_2..B_m at
-        base + 1_(B_1).
-        """
+        """(base, blocks) of each (dim-1)-cell -> how many dim-cells have it as a facet."""
         top = self.dim
         if top < 1:
             return {}
-        counts = {
-            (p, blocks): 0
+        return {
+            (p, blocks): n
             for p, sh in self.shapes.items() if len(sh.by_dim) >= top
-            for blocks in sh.by_dim[top - 1]
+            for blocks, n in zip(sh.by_dim[top - 1], self._cover_counts(p, sh, top))
         }
-        units = _units(self.ambient_dim)
-        for p, sh in self.shapes.items():
-            if len(sh.by_dim) > top:
-                keys = [(p, f) for f in sh.inner_facets]
-                keys += [(tuple(map(add, p, units[b[0]])), b[1:]) for b in sh.by_dim[top]]
-                for key in keys:
-                    if key in counts:
-                        counts[key] += 1
-        return counts
 
     @cached_property
     def facet_exponents(self) -> list:
@@ -601,7 +646,7 @@ class CellComplex:
         as exponent_tally reads it.
         """
         d = self.ambient_dim
-        covers = self._facet_covers if self.dim == d else {}
+        full = self.dim == d
         out = []
         for p, sh in self.shapes.items():
             if len(sh.by_dim) >= d:
@@ -609,10 +654,9 @@ class CellComplex:
                     flat = sh.minima_getters[d - 2](_minima(p))
                     sums = map(sum, zip(*[iter(flat)] * (d - 1)))
                 else:
-                    sums = itertools.repeat(0)
-                out.extend(
-                    (covers.get((p, blocks), 0), e) for blocks, e in zip(sh.by_dim[d - 1], sums)
-                )
+                    sums = itertools.repeat(0, len(sh.by_dim[0]))
+                covers = self._cover_counts(p, sh, d) if full else itertools.repeat(0)
+                out.extend(zip(covers, sums))
         return out
 
     def is_pure(self) -> bool:

@@ -297,8 +297,12 @@ def _add_common(p: argparse.ArgumentParser, formats, default: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _parsers() -> tuple:
+    """The full parser and its subcommand name -> parser map, built once per process.
+
+    The map is the choices of the action add_subparsers returns.  Parsing
+    leaves both unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="tropevol",
         description="Exact lattice counting and volume functionals for "
@@ -341,12 +345,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--b", type=int, default=2, help="lattice base for the dots")
     _add_common(p_plot, ("svg",), "svg")
     p_plot.set_defaults(func=_cmd_plot)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed once, to the namespace build_parser().parse_args(argv) gives."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    When argv[0] names a subcommand, that subcommand's parser alone parses
+    the rest, and command is set from argv[0].  Everything else goes to the
+    full parser: an empty argv, -h, an unknown command, and a call whose
+    subcommand parser leaves arguments over.  The full parser hands the same
+    tail to the same subcommand parser, so the namespace, and every usage
+    and error text, are those of the full parse.
+    """
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -35,9 +35,15 @@ It also builds one table of the best and second-best terms and the first
 maximizer of every d-column subset, by one dynamic programme over column
 sets (linalg._column_subset_table), and reads
 qtvol+, tvol and every simplex of tlvol off that table (_tlvol_from_table),
-so it solves no assignment problem.  The standalone tlvol_subsets solves
-one per simplex, valid at any size, and is the reference the tests compare
-the report against.
+so it solves no assignment problem.  A trunk lies in the tropical hull of
+abar_K's columns, and a hull point with x_0 = 0 is max_j (lam_j + a_j) with
+every lam_j <= 0, so x_i <= max_(j in K) M_ij: a simplex's barycenter sum
+is at most sum_i max_(j in K) M_ij.  The report takes the Kleene star only
+of a nonsingular simplex whose bound passes the best sum so far; as only a
+strict gain replaces the witness, the value and witness are those of the
+full sweep.  The standalone tlvol_subsets solves one assignment problem
+and takes one star per simplex, valid at any size, and is the reference
+the tests compare the report against.
 The triangulation and the i-volumes take any finite integer matrix as it
 is; only the discrete surface, a count, needs entries in Z>=0.
 """
@@ -146,6 +152,11 @@ def _tlvol_from_table(m: TropMatrix, table: Optional[dict]):
     its optimal assignment sends row 0 to k and the rest by the subset's
     maximizer.  Duplicate columns fail that test: both copies give the same
     best value, and a subset holding both has a tied maximizer.
+
+    Once a best is set, a nonsingular K whose bound sum_i max_(j in K) M_ij
+    is at most that best gets no Kleene star: its barycenter sum cannot pass
+    the bound (module docstring), and only a strict gain moves the witness.
+    A row that is -inf all over K gives no bound, and K is then solved.
     """
     d = m.rows
     if m.cols < d + 1:
@@ -167,6 +178,11 @@ def _tlvol_from_table(m: TropMatrix, table: Optional[dict]):
                 tied = True
         if top is None or tied:
             continue
+        if best is not None:
+            tops = [max((row[j] for j in K if row[j] is not None), default=None)
+                    for row in m.entries]
+            if None not in tops and sum(tops) <= best:
+                continue
         val = sum(_trunk_barycenter(rows, arg))
         if best is None or val > best:
             best = val

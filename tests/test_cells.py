@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from tropevol.cells import (
     lattice_points,
 )
 from tropevol.core import TropMatrix, contains
-from tropevol.ehrhart import cell_exponents, weighted_facets
+from tropevol.ehrhart import c_dminus1_direct, cell_exponents, weighted_facets
 from tropevol.errors import GuardExceeded, ValidationError
 from tropevol.fixtures import (
     alcove_simplex,
@@ -35,7 +36,7 @@ from tropevol.fixtures import (
     fix_tri,
 )
 from tropevol.guard import BoundedTable, check_guard, resolve_guard
-from tropevol.volumes import cartesian_product, tlvol_triangulation
+from tropevol.volumes import cartesian_product, discrete_surface, tlvol_triangulation
 
 
 def trunk(cx: CellComplex, i: int) -> CellComplex:
@@ -96,6 +97,33 @@ def _tables_from_cells(cells, d):
         "facets": facets,
         "weighted": [(2 - n, e) for n, e in facets if n < 2],
     }
+
+
+def _pushed_covers(cx):
+    """Oracle for CellComplex._facet_covers: every top cell pushes its facets.
+
+    (base, blocks) of each (dim-1)-cell -> how many dim-cells have it as a
+    facet.  Dropping vertex l of a chain with blocks B_1..B_m keeps the base
+    and drops B_m for l = m, or merges B_l and B_(l+1) for 0 < l < m;
+    dropping the base leaves B_2..B_m at base + 1_(B_1).
+    """
+    top = cx.dim
+    if top < 1:
+        return {}
+    counts = {
+        (p, blocks): 0
+        for p, sh in cx.shapes.items() if len(sh.by_dim) >= top
+        for blocks in sh.by_dim[top - 1]
+    }
+    for p, sh in cx.shapes.items():
+        if len(sh.by_dim) > top:
+            for b in sh.by_dim[top]:
+                keys = [(p, b[:-1]), (tuple(x + (b[0] >> i & 1) for i, x in enumerate(p)), b[1:])]
+                keys += [(p, b[:l - 1] + (b[l - 1] | b[l],) + b[l + 1:]) for l in range(1, len(b))]
+                for key in keys:
+                    if key in counts:
+                        counts[key] += 1
+    return counts
 
 
 def _vertex_covers(cx):
@@ -707,3 +735,70 @@ def test_vertex_max_dim_gives_trunk_vertices():
         for i in range(m.rows + 1):
             from_table = {v for v, k in cx.vertex_max_dim.items() if k >= i}
             assert from_table == set(trunk(cx, i).vertices()), (m.entries, i)
+
+
+def _facets_by_push(cx):
+    """facet_exponents with each cover count from the push (_pushed_covers)."""
+    d = cx.ambient_dim
+    covers = _pushed_covers(cx) if cx.dim == d else {}
+    keys = [(p, b) for p, sh in cx.shapes.items() if len(sh.by_dim) >= d for b in sh.by_dim[d - 1]]
+    return [(covers.get(key, 0), e) for key, (_, e) in zip(keys, cx.facet_exponents)]
+
+
+def _interior_by_push(cx):
+    """interior_cells with the boundary read off the push (_pushed_covers)."""
+    once = {key for key, n in _pushed_covers(cx).items() if n == 1}
+    closure = {
+        f.vertices for c in cx.cells_of_dim(cx.dim - 1)
+        if (c.base, tuple(sum(1 << i for i in b) for b in c.blocks())) in once
+        for f in c.faces()
+    }
+    return [c for c in cx.cells if c.vertices not in closure]
+
+
+def test_pulled_facet_covers_match_the_push():
+    # each facet's covers are pulled: the cells at its base off its pattern's
+    # plan, the one below by chain membership at p - 1_Y.  On seeded hulls of
+    # 1-4 rows, and on 80% cell subsets (where p - 1_c may be a lattice point
+    # of the hull whose chain is gone), the facet table, the covers behind
+    # interior_cells and both facet-weight sums equal the push's
+    rng = random.Random(3501)
+    seen = Counter()
+    for _ in range(240):
+        d = rng.randint(1, 4)
+        top, n = {1: 6, 2: 5, 3: 3, 4: 2}[d], rng.randint(1, 5)
+        m = TropMatrix.from_rows([[rng.randint(0, top) for _ in range(n)] for _ in range(d)])
+        cx = enumerate_triangulation(m)
+        facets = _facets_by_push(cx)
+        assert list(cx.facet_exponents) == facets, m.entries
+        assert cx._facet_covers == _pushed_covers(cx), m.entries
+        assert cx.interior_cells() == _interior_by_push(cx), m.entries
+        weighted = [(2 - k, e) for k, e in facets if k < 2]
+        want = max((e for _, e in weighted), default=None)
+        assert discrete_surface(cx) == (None if want is None else d - 1 + want), m.entries
+        for b in (2, 3):
+            total = sum(twice * b ** e for twice, e in weighted)
+            want_c = Fraction((b - 1) ** (d - 1) * total, 2 * math.factorial(d - 1))
+            assert c_dminus1_direct(cx, b) == want_c, m.entries
+        some = [c for c in cx.cells if rng.random() < 0.8]
+        sub = CellComplex(d, some)
+        assert list(sub.facet_exponents) == _facets_by_push(sub), m.entries
+        assert sub._facet_covers == _pushed_covers(sub), m.entries
+        assert sub.interior_cells() == _interior_by_push(sub), m.entries
+        seen["rows %d" % d] += 1
+        seen["full"] += cx.dim == d
+        seen["covered below"] += any(
+            below for p, sh in cx.shapes.items() if len(sh.by_dim) >= cx.dim >= 1
+            for _, below in sh.cover_plan(cx.dim)
+        )
+        # a facet whose chain below is gone though its base p - 1_Y is still there
+        units, lost = cells._units(d), False
+        for p, sh in sub.shapes.items():
+            if sub.dim >= 1 and len(sh.by_dim) >= sub.dim:
+                for _, below in sh.cover_plan(sub.dim):
+                    for Y, chain in below:
+                        q = sub.shapes.get(tuple(map(operator.sub, p, units[Y])))
+                        lost |= q is not None and chain not in q.top_chains
+        seen["subset lost a chain below"] += lost
+        seen["covered twice"] += 2 in cx._facet_covers.values()
+    assert min(seen.values()) >= 20, seen

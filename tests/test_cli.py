@@ -674,3 +674,65 @@ def test_parser_is_built_once_and_survives_a_parse_error(
     assert (code, captured.out, captured.err) == (
         fresh.returncode, fresh.stdout, fresh.stderr
     )
+
+
+# valid argv over all four subcommands: option=value spellings, every option
+# of each, and options in an order other than the parser's
+SINGLE_PARSE_ARGV = {
+    "volume fixture": ["volume", "--fixture", "4D"],
+    "volume every option": [
+        "volume", "--input", "m.json", "--method", "both", "--i", "2",
+        "--format", "text", "--out", "o.json", "--guard", "500",
+    ],
+    "volume sizes": ["volume", "--k", "2", "--fixture", "TRI", "--l", "3"],
+    "volume equals signs": ["volume", "--fixture=L", "--l=4", "--d=3"],
+    "ehrhart every option": [
+        "ehrhart", "--fixture", "L", "--l", "4", "--b", "3", "--kmax", "5",
+        "--format", "text", "--out", "o.json", "--guard", "2000",
+    ],
+    "ehrhart input": ["ehrhart", "--input", "m.json"],
+    "check plain": ["check"],
+    "check every option": [
+        "check", "--suite", "kleene", "--seed", "3", "--cases", "10",
+        "--format", "json", "--out", "o.txt",
+    ],
+    "plot alcove": ["plot", "--fixture", "ALCOVE", "--a", "0,1", "--b", "3"],
+    "plot input": ["plot", "--input", "m.json", "--out", "x.svg", "--guard", "100"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_PARSE_ARGV))
+def test_single_parse_gives_the_full_parse_namespace(case: str) -> None:
+    argv = SINGLE_PARSE_ARGV[case]
+    args = cli._parse(argv)
+    assert args == cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+# argv the full parser decides: each exits from argparse, by an error or help
+PARSE_EXITS = {
+    "unknown option after a subcommand": ["volume", "--fixture", "4D", "--bogus"],
+    "no matrix source": ["volume", "--method", "both"],
+    "guard not an integer": ["volume", "--fixture", "4D", "--guard", "abc"],
+    "volume help": ["volume", "-h"],
+    "unknown command": ["nosuch", "--fixture", "4D"],
+    "empty argv": [],
+}
+
+
+def _exit_of(call, argv: list, capsys: pytest.CaptureFixture) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_EXITS))
+def test_parse_exits_match_the_full_parse(case: str, capsys: pytest.CaptureFixture) -> None:
+    argv = PARSE_EXITS[case]
+    got = _exit_of(cli.main, argv, capsys)
+    assert got == _exit_of(cli.build_parser().parse_args, argv, capsys)
+    assert got[0] == (0 if case == "volume help" else 2)
+    if case == "unknown option after a subcommand":
+        assert got[2].startswith("usage: tropevol [-h]")
+        assert got[2].endswith("tropevol: error: unrecognized arguments: --bogus\n")

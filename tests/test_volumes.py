@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -880,3 +881,91 @@ def test_standalone_subset_sweeps_charge_the_guard_before_any_work(
         column_subset_volumes(small, 21 * 120 - 1)
     with pytest.raises(GuardExceeded, match="^simplex subset sweep needs about 42 steps"):
         tlvol(small, guard=41)
+
+
+# -- the report's simplex skip: no Kleene star for a simplex that cannot win --
+
+
+def _column_max_bound(m: TropMatrix, K: tuple):
+    """sum_i max_(j in K) M_ij, or None when a row is -inf all over K."""
+    tops = [max((row[j] for j in K if row[j] is not None), default=None) for row in m.entries]
+    return None if None in tops else sum(tops)
+
+
+def test_simplex_barycenter_sum_is_bounded_by_the_column_maxima() -> None:
+    # a trunk lies in the hull of abar_K's columns, whose points with x_0 = 0
+    # are below the columns' row maxima; the report's skip rests on this
+    rng = random.Random(3511)
+    seen = {"nonsingular": 0, "tight": 0, "inf": 0, "fraction": 0}
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        kind = rng.choice(("int", "inf", "fraction"))
+        rows = []
+        for _ in range(d):
+            row = []
+            for _ in range(d + 1):
+                if kind == "inf" and rng.random() < 0.25:
+                    row.append(None)
+                elif kind == "fraction" and rng.random() < 0.4:
+                    row.append(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                else:
+                    row.append(rng.randint(-2, 4))
+            rows.append(row)
+        m = TropMatrix.from_rows(rows, allow_minus_inf_columns=True)
+        bt = simplex_dtrunk_barycenter(m)
+        if bt is None:
+            continue
+        bound = _column_max_bound(m, tuple(range(d + 1)))
+        assert bound is not None, rows  # a nonsingular simplex has a finite entry per row
+        assert sum(bt) <= bound, rows
+        seen["nonsingular"] += 1
+        seen["tight"] += sum(bt) == bound
+        if kind != "int":
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _wide_matrices(seed: int):
+    """2 x 8-12 and 3 x 7-9 matrices with entries in 0..3 or 0..20, some
+    with a repeated column, some with -inf or Fraction entries."""
+    rng = random.Random(seed)
+    for d, widths in ((2, range(8, 13)), (3, range(7, 10))) * 10:
+        n, top = rng.choice(widths), rng.choice((3, 20))
+        kind = rng.choice(("int", "duplicate", "inf", "fraction"))
+
+        def entry():
+            if kind == "inf" and rng.random() < 0.15:
+                return None
+            if kind == "fraction" and rng.random() < 0.3:
+                return Fraction(rng.randint(0, 2 * top), 2)
+            return rng.randint(0, top)
+
+        cols = [[entry() for _ in range(d)] for _ in range(n)]
+        if kind == "duplicate":
+            cols[rng.randrange(n)] = list(cols[rng.randrange(n)])
+        if all(c[0] is None for c in cols):
+            cols[0][0] = 0
+        yield TropMatrix.from_columns(cols, allow_minus_inf_columns=True)
+
+
+def test_report_tlvol_skips_simplices_that_cannot_win(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the report's tlvol and witness equal the full Hungarian sweep's, though
+    # it takes fewer Kleene stars than there are nonsingular simplices; the
+    # inputs include repeated columns and several simplices tied at the best
+    seen = Counter()
+    for m in _wide_matrices(3512):
+        expected = tlvol_subsets(m)
+        sums = [
+            sum(bt) for K in itertools.combinations(range(m.cols), m.rows + 1)
+            if (bt := simplex_dtrunk_barycenter(m.submatrix_columns(K))) is not None
+        ]
+        with monkeypatch.context() as patch:
+            stars = _count_calls(patch, kleene_star)
+            rep = build_volume_report(m)
+        assert (rep.tlvol, rep.tlvol_witness) == expected, m.entries
+        assert len(stars) <= len(sums)
+        seen["inputs"] += 1
+        seen["fewer stars"] += len(stars) < len(sums)
+        seen["tied best"] += sums.count(expected[0]) > 1
+        seen["repeated column"] += len(set(m.columns())) < m.cols
+    assert seen["inputs"] == 20 and seen["fewer stars"] >= 15 and min(seen.values()) >= 5, seen
