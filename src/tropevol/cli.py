@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .cells import enumerate_triangulation
@@ -74,8 +74,11 @@ def _load_matrix(args) -> TropMatrix:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """Write text to stdout, or to the file out (an empty path is an error).
+    """Write text to stdout, or its bytes to the file out (an empty path is an error).
 
+    out gets exactly the bytes a redirected stdout would: text encoded once
+    as UTF-8, with each "\n" written as os.linesep, and written with
+    os.write until every byte is taken (a pipe may take fewer per call).
     out is opened without truncating it, written in place and then cut to
     the new length.  A truncate to zero first would cost a forced writeback:
     on ext4 with auto_da_alloc (the default), closing a file that was
@@ -85,18 +88,86 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    if os.linesep != "\n":
+        text = text.replace("\n", os.linesep)
+    data = text.encode("utf-8")
     try:
         fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValidationError(f"cannot write {out}: {exc}")
 
 
+# the text of each JSON scalar a report holds, by its exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_chunks(node, pad: str, out: list) -> None:
+    """Append node's indented JSON text to out; pad is a newline and node's indent."""
+    kind = type(node)
+    if kind is dict:
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            item = node[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(head)
+                _json_chunks(item, inner, out)
+            else:
+                out.append(head + scalar(item))
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in node:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(sep)
+                _json_chunks(item, inner, out)
+            else:
+                out.append(sep + scalar(item))
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append(scalar(node))
+
+
 def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, plus a newline.
+
+    Strings go through the C escaper json.dumps itself uses, so the text is
+    ASCII.  A report holds only dicts with str keys, lists, tuples, str, int,
+    bool and None; anything else raises TypeError.  json.dumps with an indent
+    would run its pure-Python encoder, at about twice the cost.
+    """
+    out = []
+    _json_chunks(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _render_text(obj) -> str:

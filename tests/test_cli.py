@@ -225,6 +225,78 @@ def test_out_creates_a_file_with_the_mode_open_would_give(tmp_path: Path) -> Non
     assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
 
 
+def _short_writes(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Make os.write take at most 7 bytes a call; returns the list of call sizes."""
+    calls = []
+    write = os.write
+
+    def short(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short)
+    return calls
+
+
+def test_out_survives_short_writes_to_a_file(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    args = OUT_COMMANDS["volume"]
+    expected = _stdout_bytes(*args)
+    target = tmp_path / "report"
+    target.write_bytes(b"x" * 65536)
+    with monkeypatch.context() as patch:
+        calls = _short_writes(patch)
+        assert cli.main([*args, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected
+    assert len(calls) == (len(expected) + 6) // 7
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_out_survives_short_writes_to_a_fifo(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    args = OUT_COMMANDS["volume"]
+    expected = _stdout_bytes(*args)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    with monkeypatch.context() as patch:
+        _short_writes(patch)
+        assert cli.main([*args, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+
+
+@pytest.mark.parametrize("linesep", ["\n", "\r\n"])
+def test_out_holds_the_bytes_a_text_file_would(
+    tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture,
+    linesep: str,
+) -> None:
+    # a text report with a non-ASCII failure message, as UTF-8 with os.linesep
+    # line ends, the bytes open(path, "w", encoding="utf-8") writes on a
+    # platform with that line separator
+    failing = checks.SuiteResult("kleene", cases=3, failures=["x ≠ y für 𝔽₂"])
+    monkeypatch.setattr(cli, "run_suites", lambda names, seed, cases: [failing])
+    assert cli.main(["check"]) == 4
+    text = capsys.readouterr().out
+    assert "x ≠ y für 𝔽₂" in text
+    reference = tmp_path / "reference"
+    with open(reference, "w", encoding="utf-8", newline=linesep) as fh:
+        fh.write(text)
+    monkeypatch.setattr(cli.os, "linesep", linesep)
+    target = tmp_path / "report"
+    assert cli.main(["check", "--out", str(target)]) == 4
+    assert target.read_bytes() == reference.read_bytes()
+
+
 def test_volume_from_input_file(tmp_path: Path) -> None:
     source = tmp_path / "matrix.json"
     source.write_text(fix_l(4).to_json())
@@ -736,3 +808,147 @@ def test_parse_exits_match_the_full_parse(case: str, capsys: pytest.CaptureFixtu
     if case == "unknown option after a subcommand":
         assert got[2].startswith("usage: tropevol [-h]")
         assert got[2].endswith("tropevol: error: unrecognized arguments: --bogus\n")
+
+
+def _json_dumps_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _rendered(monkeypatch: pytest.MonkeyPatch, *argvs: list) -> list:
+    """The objects the CLI renders as JSON for each argv, with their texts."""
+    seen = []
+    render = cli._render_json
+
+    def spy(obj):
+        text = render(obj)
+        seen.append((obj, text))
+        return text
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_render_json", spy)
+        for argv in argvs:
+            assert cli.main([*argv, "--out", os.devnull]) == 0
+    return seen
+
+
+VOLUME_FIXTURES = [
+    ["--fixture", "cube", "--d", "3"],
+    ["--fixture", "L", "--l", "4"],
+    ["--fixture", "TRI", "--l", "3", "--k", "2"],
+    ["--fixture", "4D"],
+    ["--fixture", "DELTA2"],
+    ["--fixture", "PROD", "--l", "2"],
+    ["--fixture", "ALCOVE", "--a", "0,2,1"],
+]
+
+
+def test_render_json_is_json_dumps_on_every_cli_report(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # one finite permutation: tvol is "unique", tlvol "-inf" with a null witness
+    square = tmp_path / "square.json"
+    square.write_text(
+        json.dumps({"rows": 2, "cols": 2, "entries": [[0, "-inf"], ["-inf", 0]]})
+    )
+    volumes = [["volume", *source] for source in VOLUME_FIXTURES]
+    volumes += [[*argv, "--i", "1"] for argv in volumes]
+    volumes += [
+        ["volume", "--input", str(square)],
+        ["volume", "--fixture", "4D", "--method", "both"],
+    ]
+    seen = _rendered(
+        monkeypatch,
+        *volumes,
+        ["ehrhart", "--fixture", "L", "--l", "4"],
+        ["ehrhart", "--fixture", "TRI", "--l", "3", "--k", "2"],
+        ["ehrhart", "--fixture", "ALCOVE", "--a", "1,2", "--b", "3"],
+        ["check", "--format", "json", "--seed", "0"],
+    )
+    assert len(seen) == len(volumes) + 4
+    for obj, text in seen:
+        assert text == _json_dumps_text(obj)
+    texts = "".join(text for _, text in seen)
+    for marker in ('"-inf"', '"unique"', "null", '"15/2"', '"suites": ['):
+        assert marker in texts
+
+
+def test_render_json_is_json_dumps_on_seeded_volume_reports() -> None:
+    from tropevol.core import TropMatrix
+    from tropevol.volumes import build_volume_report
+
+    rng = random.Random(36)
+    texts = []
+    for _ in range(500):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        entries = [
+            [rng.choice([0, 1, 2, 3, -1, "-inf", "1/2"]) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        m = TropMatrix.from_json(
+            json.dumps({"rows": rows, "cols": cols, "entries": entries}),
+            allow_minus_inf_columns=True,
+        )
+        obj = build_volume_report(m).to_json_dict()
+        texts.append(cli._render_json(obj))
+        assert texts[-1] == _json_dumps_text(obj)
+    texts = "".join(texts)
+    for marker in ('"-inf"', '"unique"', "null", '/2"', '"i_volumes": {'):
+        assert marker in texts
+
+
+# strings that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters
+AWKWARD = [
+    'say "hi"', "back\\slash", "\x00\x01\x1f\x7f\b\f\n\r\t", "é ≠ ü", "𝔽₂ 😀", "",
+]
+
+
+# objects off the report shapes, each rendered as json.dumps renders it
+MADE_UP_OBJECTS = {
+    "awkward keys and values": {s: s for s in AWKWARD},
+    "awkward strings nested": [
+        AWKWARD, tuple(AWKWARD), {"nested": {"deeper": AWKWARD}},
+    ],
+    "empty and nested-empty containers": {
+        "a": {}, "b": [], "c": [[], {}], "d": [[[]]], "e": {"f": {}}, "g": (),
+    },
+    "empty dict": {},
+    "empty list": [],
+    "empty tuple": (),
+    "nested tuples": {"z": (1, (2, ())), "y": [(), [()]]},
+    "ints, bools and null": [0, -1, 7, -(10**40), 10**40, True, False, None],
+    "key order": {"b": True, "a": False, "c": None, "B": 1, "_": -2, "10": 3, "9": 4},
+    "bare string": "plain",
+    "bare non-ASCII string": "é",
+    "bare negative int": -5,
+    "bare large int": 10**30,
+    "bare bool": True,
+    "bare null": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MADE_UP_OBJECTS))
+def test_render_json_is_json_dumps_on_made_up_objects(case: str) -> None:
+    obj = MADE_UP_OBJECTS[case]
+    assert cli._render_json(obj) == _json_dumps_text(obj)
+
+
+# objects a report never holds: a float, bytes, a set or an arbitrary object
+# as a leaf, or a key that is not a str
+NOT_REPORTS = {
+    "float value": {"x": 1.5},
+    "float item": [0.0],
+    "bare float": 2.5,
+    "bytes value": {"x": b"bytes"},
+    "bytes item": [b"bytes"],
+    "int key": {1: "a"},
+    "nested int key": {"nested": {2: "b"}},
+    "set value": {"x": {"set"}},
+    "object item": {"x": [1, object()]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REPORTS))
+def test_render_json_raises_type_error_off_the_report_types(case: str) -> None:
+    with pytest.raises(TypeError):
+        cli._render_json(NOT_REPORTS[case])
